@@ -24,7 +24,6 @@ from secindex.index import (
     IndexReport,
     all_indices,
     security_index,
-    summarize_graph,
 )
 from secindex.linking import find_max_linking, max_linking_size
 from secindex.model import (
@@ -33,7 +32,6 @@ from secindex.model import (
     StructuredSystem,
     UnknownVertexError,
     build_attack_graph,
-    validate_assumptions,
 )
 from secindex.oracle import (
     DEFAULT_TOLERANCE,
@@ -161,13 +159,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
     _, graph = _load(args.input)
     if args.component is not None:
         component = graph.vertex_named(args.component)
-        report = IndexReport(
-            graph=graph,
-            results=(security_index(graph, component, cap=args.cap),),
-            errors=(),
-            summary=summarize_graph(graph),
-            assumption_violations=tuple(validate_assumptions(graph)),
-        )
+        report = IndexReport(graph, (security_index(graph, component, args.cap),), ())
     else:
         report = all_indices(graph, cap=args.cap)
     _write(io.emit_report(report), args.output)
@@ -290,8 +282,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         InvalidSystemError,
         UnknownVertexError,
         EnumerationCapError,
-        FileNotFoundError,
-        IsADirectoryError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,16 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from secindex.linking import max_linking_size, saturated_by_all_max_linkings
-from secindex.model import (
-    AssumptionViolation,
-    AttackGraph,
-    UnknownVertexError,
-    VertexId,
-    validate_assumptions,
-)
+from secindex.model import AttackGraph, UnknownVertexError, VertexId
 
 DEFAULT_SUBSET_CAP = 20
 
@@ -73,23 +67,37 @@ class SecurityIndexResult:
 
 
 @dataclass(frozen=True)
-class GraphSummary:
-    states: int
-    actuators: int
-    sensors: int
-    attack_vertices: int
-    edges: int
-
-
-@dataclass(frozen=True)
 class IndexReport:
-    """Per-component indices for a whole attack graph."""
+    """Per-component indices for a whole attack graph; the rest derives from ``graph``."""
 
     graph: AttackGraph
     results: tuple[SecurityIndexResult, ...]
     errors: tuple[tuple[VertexId, str], ...]
-    summary: GraphSummary
-    assumption_violations: tuple[AssumptionViolation, ...]
+
+
+def first_redundant_subset(
+    width: int,
+    member: int,
+    redundant: Callable[[tuple[int, ...]], bool],
+    cap: int,
+) -> tuple[int | float, tuple[int, ...] | None, int]:
+    """Smallest subset of range(width) containing ``member`` that passes ``redundant``.
+
+    Subsets are tried by size, then lexicographically, and handed to
+    ``redundant`` as sorted position tuples.  Returns ``(size, positions,
+    subsets_examined)``, or ``(INFINITE, None, 2**(width - 1))`` when no
+    subset qualifies.  The structural and the numerical index differ only
+    in the test they pass.
+    """
+    if width > cap:
+        raise EnumerationCapError(width, cap)
+    examined = 0
+    for size in range(1, width + 1):
+        for positions in subsets_containing(width, member, size):
+            examined += 1
+            if redundant(positions):
+                return size, positions, examined
+    return INFINITE, None, examined
 
 
 def security_index(
@@ -105,35 +113,19 @@ def security_index(
     attack_set = graph.attack_set
     if component not in attack_set:
         raise UnknownVertexError(f"not an attackable component: {component}")
-    width = len(attack_set)
-    if width > cap:
-        raise EnumerationCapError(width, cap)
-    position = attack_set.index(component)
 
-    examined = 0
-    for size in range(1, width + 1):
-        for positions in subsets_containing(width, position, size):
-            subset = tuple(attack_set[k] for k in positions)
-            examined += 1
-            if not saturated_by_all_max_linkings(graph, subset, component):
-                return SecurityIndexResult(
-                    component=component,
-                    index=size,
-                    witness=subset,
-                    subsets_examined=examined,
-                )
-    return SecurityIndexResult(
-        component=component, index=INFINITE, witness=None, subsets_examined=examined
+    def avoidable(positions: tuple[int, ...]) -> bool:
+        subset = tuple(attack_set[k] for k in positions)
+        return not saturated_by_all_max_linkings(graph, subset, component)
+
+    size, positions, examined = first_redundant_subset(
+        len(attack_set), attack_set.index(component), avoidable, cap
     )
-
-
-def summarize_graph(graph: AttackGraph) -> GraphSummary:
-    return GraphSummary(
-        states=len(graph.state_names),
-        actuators=len(graph.actuator_names),
-        sensors=len(graph.sensor_names),
-        attack_vertices=sum(1 for f in graph.protected if not f),
-        edges=len(graph.edges),
+    return SecurityIndexResult(
+        component=component,
+        index=size,
+        witness=None if positions is None else tuple(attack_set[k] for k in positions),
+        subsets_examined=examined,
     )
 
 
@@ -150,21 +142,16 @@ def all_indices(graph: AttackGraph, cap: int = DEFAULT_SUBSET_CAP) -> IndexRepor
             results.append(security_index(graph, component, cap))
         except EnumerationCapError as exc:
             errors.append((component, str(exc)))
-    return IndexReport(
-        graph=graph,
-        results=tuple(results),
-        errors=tuple(errors),
-        summary=summarize_graph(graph),
-        assumption_violations=tuple(validate_assumptions(graph)),
-    )
+    return IndexReport(graph=graph, results=tuple(results), errors=tuple(errors))
 
 
 def is_generically_left_invertible(graph: AttackGraph) -> bool:
     """Whether the attack-to-sensor map generically loses no information.
 
     Holds exactly when the full attack set admits a linking to the sensors
-    with one disjoint path per component.  Implies every index is infinite;
-    the converse fails (two actuators driving the same measured state both
-    get finite indices while the overall map stays rank-deficient).
+    with one disjoint path per component, and that happens exactly when
+    every index is infinite: a full linking of the attack set restricts to
+    a full linking of every subset, and a rank-deficient attack set has a
+    minimal rank-deficient subset, in which every member is avoidable.
     """
     return max_linking_size(graph, graph.attack_set, graph.targets) == len(graph.attack_set)

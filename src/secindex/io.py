@@ -20,6 +20,7 @@ from secindex.model import (
     StructuredSystem,
     UnknownVertexError,
     VertexId,
+    validate_assumptions,
 )
 
 SCHEMA_VERSION = "1"
@@ -63,6 +64,8 @@ def parse_system(text: str) -> StructuredSystem:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentSyntaxError("invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise MalformedFieldError("top level must be an object")
     for key in raw:
@@ -186,14 +189,14 @@ def emit_report(report: IndexReport) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "graph": {
-            "states": report.summary.states,
-            "actuators": report.summary.actuators,
-            "sensors": report.summary.sensors,
-            "attack_vertices": report.summary.attack_vertices,
-            "edges": report.summary.edges,
+            "states": len(graph.state_names),
+            "actuators": len(graph.actuator_names),
+            "sensors": len(graph.sensor_names),
+            "attack_vertices": sum(1 for p in graph.protected if not p),
+            "edges": len(graph.edges),
         },
         "assumption_violations": [
-            {"kind": v.kind, "name": v.name} for v in report.assumption_violations
+            {"kind": v.kind, "name": v.name} for v in validate_assumptions(graph)
         ],
         "results": results,
         "errors": [

@@ -393,10 +393,11 @@ def random_structured_system(
             if not any(src == u for src, _ in b_edges):
                 b_edges.add((u, rng.choice(states)))
         # A direct sensor edge is the cheapest repair for unobserved states.
-        observed = _states_reaching_sensors(states, w_edges, c_edges)
-        for x in states:
-            if x not in observed:
-                c_edges.add((x, rng.choice(sensors).name))
+        # Violations come in state order, which keeps the random draws fixed.
+        provisional = StructuredSystem(states, actuators, sensors, w_edges, b_edges, c_edges)
+        for violation in validate_assumptions(build_attack_graph(provisional)):
+            if violation.kind == "state-unobserved":
+                c_edges.add((violation.name, rng.choice(sensors).name))
 
     return StructuredSystem(
         states=states,
@@ -406,22 +407,3 @@ def random_structured_system(
         b_edges=b_edges,
         c_edges=c_edges,
     )
-
-
-def _states_reaching_sensors(
-    states: tuple[str, ...],
-    w_edges: set[tuple[str, str]],
-    c_edges: set[tuple[str, str]],
-) -> set[str]:
-    reached = {src for src, _ in c_edges}
-    back: dict[str, set[str]] = {x: set() for x in states}
-    for src, dst in w_edges:
-        back[dst].add(src)
-    frontier = list(reached)
-    while frontier:
-        x = frontier.pop()
-        for p in back.get(x, ()):
-            if p not in reached:
-                reached.add(p)
-                frontier.append(p)
-    return reached

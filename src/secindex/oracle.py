@@ -16,11 +16,12 @@ declaration order, then unprotected sensors in declaration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from secindex.index import DEFAULT_SUBSET_CAP, INFINITE, EnumerationCapError, subsets_containing
+from secindex.index import DEFAULT_SUBSET_CAP, first_redundant_subset
 from secindex.model import StructuredSystem
 
 # Frequencies closer than this to an eigenvalue of W are treated as
@@ -198,27 +199,12 @@ def transfer_rank(
     columns: Iterable[int],
     z: complex,
     tolerance: float = DEFAULT_TOLERANCE,
-    check_pencil: bool = False,
 ) -> int:
-    """Numerical rank of the transfer matrix restricted to attack columns.
-
-    With ``check_pencil`` the result is verified against the system pencil
-    via rank [W - zI, B; C, D] = n + rank G(z), which holds whenever z is
-    not an eigenvalue of W.
-    """
+    """Numerical rank of the transfer matrix restricted to attack columns."""
     cols = _column_tuple(realization, columns)
     if not cols:
         return 0
-    g = transfer_matrix(realization, z)[:, cols]
-    rank = _rank(g, tolerance)
-    if check_pencil:
-        n = realization.W.shape[0]
-        via_pencil = pencil_rank(realization, cols, z, tolerance) - n
-        if via_pencil != rank:
-            raise ArithmeticError(
-                f"pencil cross-check failed at z={z}: {via_pencil} != {rank}"
-            )
-    return rank
+    return _rank(transfer_matrix(realization, z)[:, cols], tolerance)
 
 
 def pencil_rank(
@@ -227,7 +213,10 @@ def pencil_rank(
     z: complex,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> int:
-    """Numerical rank of the system pencil restricted to attack columns."""
+    """Numerical rank of the system pencil restricted to attack columns.
+
+    Equals n + ``transfer_rank`` whenever z is not an eigenvalue of W.
+    """
     cols = _column_tuple(realization, columns)
     top = np.hstack([realization.W - z * np.eye(realization.W.shape[0]), realization.B_a[:, cols]])
     bottom = np.hstack([realization.C.astype(complex), realization.D_a[:, cols]])
@@ -303,12 +292,8 @@ def numeric_index_vector(
 ) -> tuple[int | float, ...]:
     """Realization-level indices for several columns, sharing rank work."""
     width = realization.attack_width
-    if width > cap:
-        raise EnumerationCapError(width, cap)
     wanted = tuple(range(width)) if columns is None else tuple(int(c) for c in columns)
-    for c in wanted:
-        if not 0 <= c < width:
-            raise IndexError(f"attack column {c} out of range 0..{width - 1}")
+    _column_tuple(realization, wanted)  # range check only; the order of ``wanted`` stays
     if not wanted:
         return ()
 
@@ -323,16 +308,11 @@ def numeric_index_vector(
             )
         return cache[cols]
 
-    out: list[int | float] = []
-    for column in wanted:
-        found: int | float = INFINITE
-        for size in range(1, width + 1):
-            for positions in subsets_containing(width, column, size):
-                rest = tuple(k for k in positions if k != column)
-                if ranks(positions) == ranks(rest):
-                    found = size
-                    break
-            if found != INFINITE:
-                break
-        out.append(found)
-    return tuple(out)
+    def redundant(column: int, positions: tuple[int, ...]) -> bool:
+        rest = tuple(k for k in positions if k != column)
+        return ranks(positions) == ranks(rest)
+
+    return tuple(
+        first_redundant_subset(width, column, partial(redundant, column), cap)[0]
+        for column in wanted
+    )

@@ -59,6 +59,13 @@ def test_index_missing_file(capsys):
     assert err
 
 
+def test_index_unwritable_output(capsys):
+    code, out, err = run(capsys, "index", "--input", CHAIN, "--output", CHAIN + "/report.json")
+    assert code == EXIT_DATA_ERROR
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_index_writes_output_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "index", "--input", CHAIN, "--output", str(out_path))

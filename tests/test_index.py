@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import pytest
@@ -9,10 +10,12 @@ from secindex.index import (
     INFINITE,
     EnumerationCapError,
     all_indices,
+    first_redundant_subset,
     is_generically_left_invertible,
     security_index,
     subsets_containing,
 )
+from secindex.io import emit_report
 from secindex.linking import saturated_by_all_max_linkings
 from secindex.model import (
     StructuredSystem,
@@ -88,9 +91,10 @@ def test_dangling_actuator_has_index_one():
 def test_report_order_matches_attack_set(chain_graph):
     report = all_indices(chain_graph)
     assert tuple(r.component for r in report.results) == chain_graph.attack_set
-    assert report.summary.states == 4
-    assert report.summary.edges == 9
-    assert report.assumption_violations == ()
+    doc = json.loads(emit_report(report))
+    assert doc["graph"]["states"] == 4
+    assert doc["graph"]["edges"] == 9
+    assert doc["assumption_violations"] == []
 
 
 def test_empty_attack_set_gives_empty_report():
@@ -166,12 +170,30 @@ def test_subset_enumeration_is_lexicographic(data):
     assert ours == reference  # same subsets, same (lexicographic) order
 
 
+@given(st.data())
+def test_engine_matches_plain_enumeration(data):
+    width = data.draw(st.integers(min_value=1, max_value=6))
+    member = data.draw(st.integers(min_value=0, max_value=width - 1))
+    containing = [
+        combo
+        for size in range(1, width + 1)
+        for combo in itertools.combinations(range(width), size)
+        if member in combo
+    ]
+    accepted = data.draw(st.sets(st.sampled_from(containing)))
+    reference = next(
+        ((len(c), c, rank) for rank, c in enumerate(containing, 1) if c in accepted),
+        (INFINITE, None, 2 ** (width - 1)),
+    )
+    assert first_redundant_subset(width, member, accepted.__contains__, cap=6) == reference
+
+
 @given(structured_systems(max_states=4, max_actuators=2, max_sensors=2))
 def test_left_invertible_implies_all_indices_infinite(system):
+    # Both directions: left-invertible exactly when no index is finite.
     graph = build_attack_graph(system)
-    if is_generically_left_invertible(graph):
-        for result in all_indices(graph).results:
-            assert result.index == INFINITE
+    all_infinite = all(r.index == INFINITE for r in all_indices(graph).results)
+    assert is_generically_left_invertible(graph) == all_infinite
 
 
 @given(structured_systems(max_states=4, max_actuators=2, max_sensors=2))

@@ -83,6 +83,11 @@ def test_syntax_error_reported():
         parse_system("{not json")
 
 
+def test_deeply_nested_document_is_a_syntax_error():
+    with pytest.raises(DocumentSyntaxError, match="nested too deeply"):
+        parse_system("[" * 200000)
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
