@@ -62,10 +62,10 @@ def parse_system(text: str) -> StructuredSystem:
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentSyntaxError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise DocumentSyntaxError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # malformed JSON, or an integer past Python's digit limit
+        raise DocumentSyntaxError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise MalformedFieldError("top level must be an object")
     for key in raw:

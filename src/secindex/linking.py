@@ -8,9 +8,18 @@ v_out feeds a super-sink.  By Menger's theorem the max-flow value equals
 the maximum linking size.  Dinic's algorithm on unit capacities runs in
 O(E * sqrt(V)), far below the subset enumeration that sits on top of it.
 
+The split network is built once per graph, with a closed (capacity 0)
+super-source and super-sink edge for every vertex; a query opens the edges
+of its sources and targets on a fresh copy of the capacities.  Linking
+sizes are memoized per (sources, targets), since the subset search asks
+for the same source sets many times.  Only the graph queried last keeps
+its network and memo, matched by identity, so memory stays bounded by one
+graph.  That slot is module state: the functions here are not thread-safe.
+
 Determinism: vertices are processed in canonical (kind, ordinal) order and
 adjacency lists keep insertion order, so the extracted witness linking is
-reproducible across runs.
+reproducible across runs.  Closed edges are never traversed, so the flow
+takes the same steps as on a network holding only the open edges.
 """
 
 from __future__ import annotations
@@ -131,23 +140,45 @@ def _check_members(graph: AttackGraph, vertices: Iterable[VertexId], role: str) 
     return members
 
 
-def _split_network(
-    graph: AttackGraph, sources: tuple[VertexId, ...], targets: tuple[VertexId, ...]
-) -> tuple[_Dinic, dict[VertexId, int], int, int]:
-    order = graph.vertices
-    idx = {v: k for k, v in enumerate(order)}
-    n = len(order)
-    source, sink = 2 * n, 2 * n + 1
-    net = _Dinic(2 * n + 2)
-    for k in range(n):
-        net.add_edge(2 * k, 2 * k + 1, 1)
-    for u, w in graph.edges:
-        net.add_edge(2 * idx[u] + 1, 2 * idx[w], 1)
-    for v in sources:
-        net.add_edge(source, 2 * idx[v], 1)
-    for v in targets:
-        net.add_edge(2 * idx[v] + 1, sink, 1)
-    return net, idx, source, sink
+class _Flows:
+    """The split network of one graph, its terminal edges closed, and a size memo."""
+
+    def __init__(self, graph: AttackGraph):
+        self.order = graph.vertices
+        idx = {v: k for k, v in enumerate(self.order)}
+        n = len(self.order)
+        self.source, self.sink = 2 * n, 2 * n + 1
+        self.net = _Dinic(2 * n + 2)
+        for k in range(n):
+            self.net.add_edge(2 * k, 2 * k + 1, 1)
+        for u, w in graph.edges:
+            self.net.add_edge(2 * idx[u] + 1, 2 * idx[w], 1)
+        self.feed = {v: self.net.add_edge(self.source, 2 * k, 0) for v, k in idx.items()}
+        self.drain = {v: self.net.add_edge(2 * k + 1, self.sink, 0) for v, k in idx.items()}
+        self.template = tuple(self.net.cap)
+        self.sizes: dict[tuple[tuple[VertexId, ...], tuple[VertexId, ...]], int] = {}
+
+    def run(self, srcs: tuple[VertexId, ...], tgts: tuple[VertexId, ...]) -> tuple[list[int], int]:
+        """Max-flow with the edges of ``srcs`` and ``tgts`` opened; returns the start capacities too."""
+        start = list(self.template)
+        for v in srcs:
+            start[self.feed[v]] = 1
+        for v in tgts:
+            start[self.drain[v]] = 1
+        self.net.cap = list(start)
+        return start, self.net.max_flow(self.source, self.sink)
+
+
+# The graph queried last and its network.  Holding the graph keeps it alive,
+# so a new graph can never be mistaken for it at a reused address.
+_last: tuple[AttackGraph, _Flows] | None = None
+
+
+def _flows_for(graph: AttackGraph) -> _Flows:
+    global _last
+    if _last is None or _last[0] is not graph:
+        _last = (graph, _Flows(graph))
+    return _last[1]
 
 
 def max_linking_size(
@@ -158,8 +189,11 @@ def max_linking_size(
     tgts = _check_members(graph, targets, "target")
     if not srcs or not tgts:
         return 0
-    net, _, source, sink = _split_network(graph, srcs, tgts)
-    return net.max_flow(source, sink)
+    flows = _flows_for(graph)
+    size = flows.sizes.get((srcs, tgts))
+    if size is None:
+        size = flows.sizes[srcs, tgts] = flows.run(srcs, tgts)[1]
+    return size
 
 
 def find_max_linking(
@@ -170,27 +204,29 @@ def find_max_linking(
     The integral flow decomposes into source-to-target paths plus possibly
     flow cycles; unit vertex capacities make the path through each source
     unique, and cycles never touch those paths, so a plain walk along
-    saturated edges recovers the linking and drops the cycles.
+    saturated edges recovers the linking and drops the cycles.  An edge is
+    saturated when it started open and ended at capacity 0.
     """
     srcs = _check_members(graph, sources, "source")
     tgts = _check_members(graph, targets, "target")
     if not srcs or not tgts:
         return Linking()
-    net, idx, source, sink = _split_network(graph, srcs, tgts)
-    net.max_flow(source, sink)
+    flows = _flows_for(graph)
+    start, _ = flows.run(srcs, tgts)
+    net = flows.net
 
-    order = graph.vertices
     paths = []
-    for e in net.adj[source]:
-        if e % 2 or net.cap[e] != 0:
-            continue  # reverse edge, or source not used
+    for v in srcs:
+        e = flows.feed[v]
+        if net.cap[e] != 0:
+            continue  # source not used
         node = net.to[e]  # some v_in
         path = []
-        while node != sink:
-            path.append(order[node // 2])
+        while node != flows.sink:
+            path.append(flows.order[node // 2])
             out_node = node + 1
             for e2 in net.adj[out_node]:
-                if e2 % 2 == 0 and net.cap[e2] == 0:
+                if e2 % 2 == 0 and start[e2] and net.cap[e2] == 0:
                     node = net.to[e2]
                     break
             else:  # pragma: no cover - flow conservation guarantees an exit

@@ -1,0 +1,83 @@
+"""Slow references for the linking fast paths, kept only for tests.
+
+Every query builds its own split network from scratch, with exactly the
+super-source and super-sink edges it needs, and runs ``_Dinic`` on it.
+Nothing is shared between queries, so the library's one-network-per-graph
+path and its size memo must agree with these functions exactly, down to
+the witness paths.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from secindex.index import DEFAULT_SUBSET_CAP, SecurityIndexResult, first_redundant_subset
+from secindex.linking import Linking, _Dinic
+from secindex.model import AttackGraph, VertexId
+
+
+def split_network(
+    graph: AttackGraph, sources: Iterable[VertexId], targets: Iterable[VertexId]
+) -> tuple[_Dinic, int, int]:
+    """A fresh split network feeding ``sources`` and draining ``targets``."""
+    idx = {v: k for k, v in enumerate(graph.vertices)}
+    n = len(idx)
+    source, sink = 2 * n, 2 * n + 1
+    net = _Dinic(2 * n + 2)
+    for k in range(n):
+        net.add_edge(2 * k, 2 * k + 1, 1)
+    for u, w in graph.edges:
+        net.add_edge(2 * idx[u] + 1, 2 * idx[w], 1)
+    for v in sorted(set(sources)):
+        net.add_edge(source, 2 * idx[v], 1)
+    for v in sorted(set(targets)):
+        net.add_edge(2 * idx[v] + 1, sink, 1)
+    return net, source, sink
+
+
+def max_linking_size(
+    graph: AttackGraph, sources: Iterable[VertexId], targets: Iterable[VertexId]
+) -> int:
+    net, source, sink = split_network(graph, sources, targets)
+    return net.max_flow(source, sink)
+
+
+def find_max_linking(
+    graph: AttackGraph, sources: Iterable[VertexId], targets: Iterable[VertexId]
+) -> Linking:
+    """Walk saturated edges from each used source to the sink."""
+    net, source, sink = split_network(graph, sources, targets)
+    net.max_flow(source, sink)
+    paths = []
+    for e in net.adj[source]:
+        if e % 2 or net.cap[e] != 0:
+            continue  # reverse edge, or source not used
+        node = net.to[e]
+        path = []
+        while node != sink:
+            path.append(graph.vertices[node // 2])
+            node = next(
+                net.to[e2] for e2 in net.adj[node + 1] if e2 % 2 == 0 and net.cap[e2] == 0
+            )
+        paths.append(path)
+    return Linking(paths)
+
+
+def security_index(graph: AttackGraph, component: VertexId) -> SecurityIndexResult:
+    """One component's index, with two fresh-network flows per subset."""
+    attack_set = graph.attack_set
+
+    def avoidable(positions: tuple[int, ...]) -> bool:
+        subset = {attack_set[k] for k in positions}
+        full = max_linking_size(graph, subset, graph.targets)
+        return full == max_linking_size(graph, subset - {component}, graph.targets)
+
+    size, positions, examined = first_redundant_subset(
+        len(attack_set), attack_set.index(component), avoidable, DEFAULT_SUBSET_CAP
+    )
+    return SecurityIndexResult(
+        component=component,
+        index=size,
+        witness=None if positions is None else tuple(attack_set[k] for k in positions),
+        subsets_examined=examined,
+    )

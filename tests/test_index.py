@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -16,13 +17,15 @@ from secindex.index import (
     subsets_containing,
 )
 from secindex.io import emit_report
-from secindex.linking import saturated_by_all_max_linkings
+from secindex.linking import _flows_for, saturated_by_all_max_linkings
 from secindex.model import (
+    Sensor,
     StructuredSystem,
     UnknownVertexError,
     build_attack_graph,
 )
 
+from . import reference
 from .strategies import structured_systems
 
 
@@ -206,3 +209,26 @@ def test_finite_witnesses_satisfy_their_contract(system):
             assert not saturated_by_all_max_linkings(
                 graph, result.witness, result.component
             )
+
+
+def wide_system(seed: int, n: int = 30, q: int = 7, m: int = 4, unprotected: int = 3) -> StructuredSystem:
+    """n states with about 2 state edges each, q actuators and ``unprotected`` of m sensors open."""
+    rng = random.Random(seed)
+    states = tuple(f"x{k + 1}" for k in range(n))
+    actuators = tuple(f"u{k + 1}" for k in range(q))
+    sensors = tuple(Sensor(f"y{k + 1}", k >= unprotected) for k in range(m))
+    w_edges = {(a, b) for a in states for b in states if a != b and rng.random() < 2 / n}
+    b_edges = {(u, rng.choice(states)) for u in actuators}
+    c_edges = {(rng.choice(states), s.name) for s in sensors}
+    return StructuredSystem(states, actuators, sensors, w_edges, b_edges, c_edges)
+
+
+def test_width_ten_search_matches_fresh_network_reference():
+    graph = build_attack_graph(wide_system(6))
+    assert len(graph.attack_set) == 10
+    report = all_indices(graph)
+    examined = sum(r.subsets_examined for r in report.results)
+    # Two linking queries per subset, so the memo answers most of them.
+    assert len(_flows_for(graph).sizes) < examined
+    assert {r.index for r in report.results} == {1, 3, INFINITE}
+    assert report.results == tuple(reference.security_index(graph, c) for c in graph.attack_set)

@@ -1,11 +1,15 @@
 import json
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from secindex.index import all_indices
 from secindex.io import (
+    DocumentError,
     DocumentSyntaxError,
     DuplicateEdgeError,
     MalformedFieldError,
@@ -21,6 +25,7 @@ from secindex.model import (
     AttackGraph,
     DanglingEndpointError,
     DuplicateNameError,
+    InvalidSystemError,
     VertexId,
     VertexKind,
     build_attack_graph,
@@ -86,6 +91,70 @@ def test_syntax_error_reported():
 def test_deeply_nested_document_is_a_syntax_error():
     with pytest.raises(DocumentSyntaxError, match="nested too deeply"):
         parse_system("[" * 200000)
+
+
+def test_oversized_integer_is_a_syntax_error():
+    with pytest.raises(DocumentSyntaxError, match="integer string conversion"):
+        parse_system('{"states": ' + "1" * 5000 + "}")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _slots(node, path=()):
+    """Every path into a JSON tree, the root's empty path first."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _slots(value, (*path, key))
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            yield from _slots(value, (*path, k))
+
+
+@st.composite
+def mutated_documents(draw):
+    """The chain fixture with values replaced or deleted, then optionally spliced as text."""
+    doc = json.loads((FIXTURES / "chain.json").read_text(encoding="utf-8"))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        path = draw(st.sampled_from(list(_slots(doc))))
+        value = draw(json_values)
+        if not path:
+            doc = value
+            continue
+        parent = reduce(getitem, path[:-1], doc)
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    text = json.dumps(doc)
+    if draw(st.booleans()):
+        cut = draw(st.integers(min_value=0, max_value=len(text)))
+        dropped = draw(st.integers(min_value=0, max_value=4))
+        text = text[:cut] + draw(st.text(max_size=4)) + text[cut + dropped :]
+    return text
+
+
+def _parse_or_reject(text: str) -> None:
+    try:
+        parse_system(text)
+    except (DocumentError, InvalidSystemError):
+        pass  # the only failures a document may cause
+
+
+@given(st.text())
+@example('{"states": ' + "1" * 5000 + "}")
+def test_arbitrary_text_raises_only_document_errors(text):
+    _parse_or_reject(text)
+
+
+@given(mutated_documents())
+def test_mutated_documents_raise_only_document_errors(text):
+    _parse_or_reject(text)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,10 +11,11 @@ from secindex.linking import (
     max_linking_size,
     saturated_by_all_max_linkings,
 )
-from secindex.model import UnknownVertexError, VertexId, VertexKind
+from secindex.model import UnknownVertexError, VertexId, VertexKind, build_attack_graph
 
+from . import reference
 from .bruteforce import brute_force_max_linking
-from .strategies import digraph_instances
+from .strategies import digraph_instances, state_only_graph
 
 # All source-to-sensor paths that can appear in a maximum linking of the
 # chain fixture's full attack set.
@@ -151,3 +155,48 @@ def test_single_source_removal_drops_at_most_one(instance, rnd):
     full = max_linking_size(graph, sources, targets)
     reduced = max_linking_size(graph, sources - {v}, targets)
     assert reduced in (full - 1, full)
+
+
+@st.composite
+def interleaved_queries(draw, max_vertices: int = 7):
+    """Two graphs and a query sequence that alternates between them and repeats itself.
+
+    Sources and targets come from a small pool of vertex sets per graph, so
+    one source set often meets several target sets and the other way round.
+    """
+    distinct = []
+    for _ in range(2):
+        n = draw(st.integers(min_value=1, max_value=max_vertices))
+        arcs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+        graph = state_only_graph(n, arcs)
+        pool = st.sampled_from(
+            draw(st.lists(st.frozensets(st.sampled_from(graph.vertices), max_size=4), min_size=1, max_size=3))
+        )
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            distinct.append((graph, draw(pool), draw(pool)))
+    order = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=12))
+    return [distinct[k] for k in order]
+
+
+@given(interleaved_queries(), st.lists(st.booleans(), min_size=12, max_size=12))
+def test_shared_network_matches_fresh_network_per_query(queries, sizes_first):
+    for (graph, sources, targets), size_first in zip(queries, sizes_first):
+        expected = reference.find_max_linking(graph, sources, targets)
+        if size_first:
+            size = max_linking_size(graph, sources, targets)
+            paths = find_max_linking(graph, sources, targets).paths
+        else:
+            paths = find_max_linking(graph, sources, targets).paths
+            size = max_linking_size(graph, sources, targets)
+        assert size == reference.max_linking_size(graph, sources, targets) == expected.size
+        assert paths == expected.paths
+
+
+def test_only_the_last_graph_keeps_its_network(chain_system, collider_graph):
+    a = build_attack_graph(chain_system)
+    assert max_linking_size(a, a.attack_set, a.targets) == 2
+    a_ref = weakref.ref(a)
+    del a
+    assert max_linking_size(collider_graph, collider_graph.attack_set, collider_graph.targets) == 2
+    gc.collect()
+    assert a_ref() is None
