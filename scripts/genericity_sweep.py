@@ -55,13 +55,16 @@ def main() -> int:
         width = len(graph.attack_set)
         probe = default_probe(freqs=args.freqs, trials=3, tolerance=args.tol, seed=args.seed + k)
 
-        for mask in range(2**width):
-            columns = [c for c in range(width) if (mask >> c) & 1]
+        column_sets = [
+            [c for c in range(width) if (mask >> c) & 1] for mask in range(2**width)
+        ]
+        ranks = generic_normal_rank(system, column_sets, probe)
+        for columns, rank in zip(column_sets, ranks):
             expected = max_linking_size(
                 graph, [graph.attack_set[c] for c in columns], graph.targets
             )
             rank_checked += 1
-            rank_hits += generic_normal_rank(system, columns, probe) == expected
+            rank_hits += rank == expected
 
         structural = tuple(r.index for r in all_indices(graph).results)
         structure_hits = 0

@@ -30,7 +30,6 @@ from secindex.oracle import (
     default_probe,
     generic_normal_rank,
     numeric_index_vector,
-    numeric_security_index,
     sample_realization,
     transfer_rank,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "is_generically_left_invertible",
     "max_linking_size",
     "numeric_index_vector",
-    "numeric_security_index",
     "random_structured_system",
     "sample_realization",
     "saturated_by_all_max_linkings",

@@ -35,8 +35,7 @@ from secindex.model import (
 )
 from secindex.oracle import (
     DEFAULT_TOLERANCE,
-    RankProbe,
-    annulus_frequencies,
+    default_probe,
     generic_normal_rank,
     numeric_index_vector,
     sample_realization,
@@ -210,22 +209,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _write("\n".join(lines) + "\n", args.output)
         return EXIT_OK
 
-    probe = RankProbe(
-        frequencies=annulus_frequencies(args.freqs, args.seed),
-        tolerance=args.tol,
-        trials=3,
-        seed=args.seed,
-    )
+    probe = default_probe(args.freqs, trials=3, tolerance=args.tol, seed=args.seed)
 
     # Rank/linking agreement, per attack subset.
     subsets = _rank_check_subsets(width, args.seed)
-    rank_hits = 0
-    for positions in subsets:
-        expected = max_linking_size(
-            graph, [graph.attack_set[k] for k in positions], graph.targets
-        )
-        if generic_normal_rank(system, positions, probe) == expected:
-            rank_hits += 1
+    ranks = generic_normal_rank(system, subsets, probe)
+    rank_hits = sum(
+        rank == max_linking_size(graph, [graph.attack_set[k] for k in positions], graph.targets)
+        for positions, rank in zip(subsets, ranks)
+    )
     rank_rate = rank_hits / len(subsets)
     lines.append(f"rank/linking agreement: {rank_hits}/{len(subsets)} subsets ({rank_rate:.2%})")
 

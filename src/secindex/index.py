@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from secindex.linking import max_linking_size, saturated_by_all_max_linkings
 from secindex.model import AttackGraph, UnknownVertexError, VertexId
@@ -38,18 +38,6 @@ class EnumerationCapError(RuntimeError):
         )
         self.width = width
         self.cap = cap
-
-
-def subsets_containing(universe: int, member: int, size: int) -> Iterator[tuple[int, ...]]:
-    """Size-``size`` subsets of range(universe) containing ``member``.
-
-    Yielded as sorted position tuples, in lexicographic order of the full
-    tuple (inserting a fixed element preserves the order of combinations
-    of the remaining ones).
-    """
-    rest = [k for k in range(universe) if k != member]
-    for combo in itertools.combinations(rest, size - 1):
-        yield tuple(sorted((member, *combo)))
 
 
 @dataclass(frozen=True)
@@ -93,7 +81,9 @@ def first_redundant_subset(
         raise EnumerationCapError(width, cap)
     examined = 0
     for size in range(1, width + 1):
-        for positions in subsets_containing(width, member, size):
+        for positions in itertools.combinations(range(width), size):
+            if member not in positions:
+                continue
             examined += 1
             if redundant(positions):
                 return size, positions, examined

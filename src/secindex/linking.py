@@ -158,15 +158,14 @@ class _Flows:
         self.template = tuple(self.net.cap)
         self.sizes: dict[tuple[tuple[VertexId, ...], tuple[VertexId, ...]], int] = {}
 
-    def run(self, srcs: tuple[VertexId, ...], tgts: tuple[VertexId, ...]) -> tuple[list[int], int]:
-        """Max-flow with the edges of ``srcs`` and ``tgts`` opened; returns the start capacities too."""
-        start = list(self.template)
+    def run(self, srcs: tuple[VertexId, ...], tgts: tuple[VertexId, ...]) -> int:
+        """Max-flow with the edges of ``srcs`` and ``tgts`` opened."""
+        self.net.cap = cap = list(self.template)
         for v in srcs:
-            start[self.feed[v]] = 1
+            cap[self.feed[v]] = 1
         for v in tgts:
-            start[self.drain[v]] = 1
-        self.net.cap = list(start)
-        return start, self.net.max_flow(self.source, self.sink)
+            cap[self.drain[v]] = 1
+        return self.net.max_flow(self.source, self.sink)
 
 
 # The graph queried last and its network.  Holding the graph keeps it alive,
@@ -192,7 +191,7 @@ def max_linking_size(
     flows = _flows_for(graph)
     size = flows.sizes.get((srcs, tgts))
     if size is None:
-        size = flows.sizes[srcs, tgts] = flows.run(srcs, tgts)[1]
+        size = flows.sizes[srcs, tgts] = flows.run(srcs, tgts)
     return size
 
 
@@ -204,21 +203,22 @@ def find_max_linking(
     The integral flow decomposes into source-to-target paths plus possibly
     flow cycles; unit vertex capacities make the path through each source
     unique, and cycles never touch those paths, so a plain walk along
-    saturated edges recovers the linking and drops the cycles.  An edge is
-    saturated when it started open and ended at capacity 0.
+    saturated edges recovers the linking and drops the cycles.  Capacities
+    are 0 or 1, so a forward edge carries flow exactly when its reverse
+    edge has residual capacity 1.
     """
     srcs = _check_members(graph, sources, "source")
     tgts = _check_members(graph, targets, "target")
     if not srcs or not tgts:
         return Linking()
     flows = _flows_for(graph)
-    start, _ = flows.run(srcs, tgts)
+    flows.run(srcs, tgts)
     net = flows.net
 
     paths = []
     for v in srcs:
         e = flows.feed[v]
-        if net.cap[e] != 0:
+        if not net.cap[e ^ 1]:
             continue  # source not used
         node = net.to[e]  # some v_in
         path = []
@@ -226,7 +226,7 @@ def find_max_linking(
             path.append(flows.order[node // 2])
             out_node = node + 1
             for e2 in net.adj[out_node]:
-                if e2 % 2 == 0 and start[e2] and net.cap[e2] == 0:
+                if e2 % 2 == 0 and net.cap[e2 ^ 1]:
                     node = net.to[e2]
                     break
             else:  # pragma: no cover - flow conservation guarantees an exit

@@ -9,6 +9,10 @@ cross-validate the graph-theoretic path: linking sizes must match generic
 normal ranks, and structural indices must match realization indices for
 almost every draw.
 
+Each realization's transfer matrices are built once.  The generic normal
+ranks of a whole batch of column sets come from one draw of the probe's
+realizations, and all indices of one realization share its matrices.
+
 Attack columns are ordered like the graph's attack set: actuators in
 declaration order, then unprotected sensors in declaration order.
 """
@@ -201,7 +205,7 @@ def transfer_rank(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> int:
     """Numerical rank of the transfer matrix restricted to attack columns."""
-    cols = _column_tuple(realization, columns)
+    cols = _column_tuple(realization.attack_width, columns)
     if not cols:
         return 0
     return _rank(transfer_matrix(realization, z)[:, cols], tolerance)
@@ -217,24 +221,23 @@ def pencil_rank(
 
     Equals n + ``transfer_rank`` whenever z is not an eigenvalue of W.
     """
-    cols = _column_tuple(realization, columns)
+    cols = _column_tuple(realization.attack_width, columns)
     top = np.hstack([realization.W - z * np.eye(realization.W.shape[0]), realization.B_a[:, cols]])
     bottom = np.hstack([realization.C.astype(complex), realization.D_a[:, cols]])
     return _rank(np.vstack([top, bottom]), tolerance)
 
 
-def _column_tuple(realization: Realization, columns: Iterable[int]) -> tuple[int, ...]:
+def _column_tuple(width: int, columns: Iterable[int]) -> tuple[int, ...]:
     cols = tuple(sorted(set(int(c) for c in columns)))
-    width = realization.attack_width
     for c in cols:
         if not 0 <= c < width:
             raise IndexError(f"attack column {c} out of range 0..{width - 1}")
     return cols
 
 
-def _usable_frequencies(probe: RankProbe, W: np.ndarray, stream: int) -> tuple[complex, ...]:
-    """Probe frequencies with eigenvalue collisions resampled deterministically."""
-    eigenvalues = np.linalg.eigvals(W)
+def _transfers(realization: Realization, probe: RankProbe, stream: int) -> list[np.ndarray]:
+    """Transfer matrices at the probe frequencies, collisions resampled from ``stream``."""
+    eigenvalues = np.linalg.eigvals(realization.W)
     rng = None
     out = []
     for z in probe.frequencies:
@@ -244,44 +247,28 @@ def _usable_frequencies(probe: RankProbe, W: np.ndarray, stream: int) -> tuple[c
             low, high = ANNULUS
             radius = np.sqrt(rng.uniform(low**2, high**2))
             z = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        out.append(z)
-    return tuple(out)
+        out.append(transfer_matrix(realization, z))
+    return out
 
 
 def generic_normal_rank(
-    system: StructuredSystem, columns: Iterable[int], probe: RankProbe
-) -> int:
-    """Empirical generic normal rank of the chosen attack columns.
+    system: StructuredSystem, column_sets: Iterable[Iterable[int]], probe: RankProbe
+) -> tuple[int, ...]:
+    """Empirical generic normal rank of each set of attack columns, in input order.
 
-    Maximum of ``transfer_rank`` over the probe's realizations and
-    frequencies.  Matches the maximum linking size from those components
-    to the sensor set for almost every draw.
+    Each is the maximum of ``transfer_rank`` over the probe's realizations
+    and frequencies; every realization is drawn once for the whole batch.
+    It matches the maximum linking size from those components to the
+    sensor set for almost every draw.
     """
-    cols = tuple(sorted(set(int(c) for c in columns)))
-    if not cols:
-        return 0
-    best = 0
+    sets = [_column_tuple(system.attack_width, cols) for cols in column_sets]
+    best = [0] * len(sets)
     for trial in range(probe.trials):
         realization = sample_realization(system, seed=probe.seed + trial)
-        for z in _usable_frequencies(probe, realization.W, stream=trial):
-            best = max(best, transfer_rank(realization, cols, z, probe.tolerance))
-    return best
-
-
-def numeric_security_index(
-    realization: Realization,
-    column: int,
-    probe: RankProbe,
-    cap: int = DEFAULT_SUBSET_CAP,
-) -> int | float:
-    """Realization-level security index of one attack column.
-
-    Smallest subset size for which the column is rationally redundant:
-    dropping it leaves the transfer-matrix rank unchanged at every probe
-    frequency, so a perfectly undetectable attack using it exists for this
-    exact parameter draw.  Infinite when no subset qualifies.
-    """
-    return numeric_index_vector(realization, probe, cap, columns=(column,))[0]
+        for g in _transfers(realization, probe, stream=trial):
+            for k, cols in enumerate(sets):
+                best[k] = max(best[k], _rank(g[:, cols], probe.tolerance))
+    return tuple(best)
 
 
 def numeric_index_vector(
@@ -290,22 +277,26 @@ def numeric_index_vector(
     cap: int = DEFAULT_SUBSET_CAP,
     columns: Sequence[int] | None = None,
 ) -> tuple[int | float, ...]:
-    """Realization-level indices for several columns, sharing rank work."""
+    """Realization-level indices of ``columns`` (default: all), sharing rank work.
+
+    A column's index is the smallest subset size for which it is
+    rationally redundant: dropping it leaves the transfer-matrix rank
+    unchanged at every probe frequency, so a perfectly undetectable attack
+    using it exists for this exact parameter draw.  Infinite when no
+    subset qualifies.
+    """
     width = realization.attack_width
     wanted = tuple(range(width)) if columns is None else tuple(int(c) for c in columns)
-    _column_tuple(realization, wanted)  # range check only; the order of ``wanted`` stays
+    _column_tuple(width, wanted)  # range check only; the order of ``wanted`` stays
     if not wanted:
         return ()
 
-    frequencies = _usable_frequencies(probe, realization.W, stream=realization.seed)
-    transfer = [transfer_matrix(realization, z) for z in frequencies]
-    cache: dict[tuple[int, ...], tuple[int, ...]] = {(): (0,) * len(frequencies)}
+    transfer = _transfers(realization, probe, stream=realization.seed)
+    cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def ranks(cols: tuple[int, ...]) -> tuple[int, ...]:
         if cols not in cache:
-            cache[cols] = tuple(
-                _rank(g[:, cols], probe.tolerance) for g in transfer
-            )
+            cache[cols] = tuple(_rank(g[:, cols], probe.tolerance) for g in transfer)
         return cache[cols]
 
     def redundant(column: int, positions: tuple[int, ...]) -> bool:

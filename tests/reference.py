@@ -1,19 +1,23 @@
-"""Slow references for the linking fast paths, kept only for tests.
+"""Slow references for the library's fast paths, kept only for tests.
 
-Every query builds its own split network from scratch, with exactly the
-super-source and super-sink edges it needs, and runs ``_Dinic`` on it.
-Nothing is shared between queries, so the library's one-network-per-graph
-path and its size memo must agree with these functions exactly, down to
-the witness paths.
+Every linking query builds its own split network from scratch, with
+exactly the super-source and super-sink edges it needs, and runs
+``_Dinic`` on it.  Nothing is shared between queries, so the library's
+one-network-per-graph path and its size memo must agree with these
+functions exactly, down to the witness paths.  The generic normal rank of
+one column set is the public ``transfer_rank`` maximized over freshly
+drawn realizations and the probe's frequencies, so the library's batched
+rank must agree with it set by set.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from secindex.index import DEFAULT_SUBSET_CAP, SecurityIndexResult, first_redundant_subset
 from secindex.linking import Linking, _Dinic
-from secindex.model import AttackGraph, VertexId
+from secindex.model import AttackGraph, StructuredSystem, VertexId
+from secindex.oracle import RankProbe, sample_realization, transfer_rank
 
 
 def split_network(
@@ -80,4 +84,13 @@ def security_index(graph: AttackGraph, component: VertexId) -> SecurityIndexResu
         index=size,
         witness=None if positions is None else tuple(attack_set[k] for k in positions),
         subsets_examined=examined,
+    )
+
+
+def generic_normal_rank(system: StructuredSystem, columns: Sequence[int], probe: RankProbe) -> int:
+    """One column set's rank, redrawing every realization for it."""
+    return max(
+        transfer_rank(sample_realization(system, probe.seed + t), columns, z, probe.tolerance)
+        for t in range(probe.trials)
+        for z in probe.frequencies
     )

@@ -14,7 +14,6 @@ from secindex.index import (
     first_redundant_subset,
     is_generically_left_invertible,
     security_index,
-    subsets_containing,
 )
 from secindex.io import emit_report
 from secindex.linking import _flows_for, saturated_by_all_max_linkings
@@ -160,17 +159,24 @@ def test_search_consistency_with_saturation_conditions(fixture, request):
 
 
 @given(st.data())
-def test_subset_enumeration_is_lexicographic(data):
-    universe = data.draw(st.integers(min_value=1, max_value=7))
-    member = data.draw(st.integers(min_value=0, max_value=universe - 1))
-    size = data.draw(st.integers(min_value=1, max_value=universe))
-    ours = list(subsets_containing(universe, member, size))
+def test_engine_sweeps_subsets_by_size_then_lexicographically(data):
+    width = data.draw(st.integers(min_value=1, max_value=7))
+    member = data.draw(st.integers(min_value=0, max_value=width - 1))
+    seen = []
+
+    def record(positions):
+        seen.append(positions)
+        return False
+
+    _, _, examined = first_redundant_subset(width, member, record, cap=7)
     reference = [
         combo
-        for combo in itertools.combinations(range(universe), size)
+        for size in range(1, width + 1)
+        for combo in itertools.combinations(range(width), size)
         if member in combo
     ]
-    assert ours == reference  # same subsets, same (lexicographic) order
+    assert seen == reference  # same subsets, same (size, then lexicographic) order
+    assert examined == 2 ** (width - 1)
 
 
 @given(st.data())

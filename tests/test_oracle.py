@@ -1,20 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from secindex.index import INFINITE, EnumerationCapError
 from secindex.linking import max_linking_size
 from secindex.model import StructuredSystem, build_attack_graph, random_structured_system
 from secindex.oracle import (
+    EIGENVALUE_MARGIN,
     RankProbe,
     annulus_frequencies,
     default_probe,
     generic_normal_rank,
     numeric_index_vector,
-    numeric_security_index,
     pencil_rank,
     sample_realization,
     transfer_rank,
 )
+
+from . import reference
+from .strategies import structured_systems
 
 
 @pytest.fixture(scope="module")
@@ -136,10 +141,35 @@ def test_pencil_identity_on_fixtures_and_random_structures(
 
 
 def test_generic_normal_rank_on_fixtures(chain_system, collider_system, probe):
-    assert generic_normal_rank(chain_system, [0, 1, 2], probe) == 2
-    assert generic_normal_rank(chain_system, [0, 2], probe) == 1
-    assert generic_normal_rank(chain_system, [], probe) == 0
-    assert generic_normal_rank(collider_system, [0, 1, 2], probe) == 2
+    assert generic_normal_rank(chain_system, [[0, 1, 2], [0, 2], []], probe) == (2, 1, 0)
+    assert generic_normal_rank(collider_system, [[0, 1, 2]], probe) == (2,)
+    assert generic_normal_rank(chain_system, [], probe) == ()
+    with pytest.raises(IndexError):
+        generic_normal_rank(chain_system, [[0], [3]], probe)
+
+
+@given(structured_systems(max_states=4, max_actuators=2, max_sensors=2), st.data())
+def test_batched_rank_matches_per_set_reference(system, data):
+    probe = default_probe(
+        freqs=data.draw(st.integers(min_value=1, max_value=3)),
+        trials=data.draw(st.integers(min_value=1, max_value=3)),
+        seed=data.draw(st.integers(min_value=0, max_value=10**6)),
+    )
+    for trial in range(probe.trials):
+        eigenvalues = np.linalg.eigvals(sample_realization(system, probe.seed + trial).W)
+        for z in probe.frequencies:
+            # The reference does not resample colliding frequencies.
+            assume(np.min(np.abs(eigenvalues - z)) >= EIGENVALUE_MARGIN)
+    width = system.attack_width
+    columns = (
+        st.lists(st.integers(min_value=0, max_value=width - 1), max_size=width + 2)
+        if width
+        else st.just([])
+    )
+    sets = data.draw(st.lists(columns, min_size=1, max_size=6))
+    sets += [[], sets[0][::-1]]  # the empty set, and a repeat in another order
+    expected = tuple(reference.generic_normal_rank(system, cols, probe) for cols in sets)
+    assert generic_normal_rank(system, sets, probe) == expected
 
 
 def test_single_actuator_reaching_sensors_has_rank_one(probe):
@@ -152,7 +182,7 @@ def test_single_actuator_reaching_sensors_has_rank_one(probe):
     )
     graph = build_attack_graph(system)
     assert max_linking_size(graph, graph.attack_set, graph.targets) == 1
-    assert generic_normal_rank(system, [0], probe) == 1
+    assert generic_normal_rank(system, [[0]], probe) == (1,)
 
 
 def test_rank_matches_linking_for_sampled_pairs(chain_system, collider_system, probe):
@@ -178,8 +208,8 @@ def test_rank_matches_linking_for_sampled_pairs(chain_system, collider_system, p
 def test_numeric_indices_on_chain(chain_system, probe):
     r = sample_realization(chain_system, seed=7)
     assert numeric_index_vector(r, probe) == (2, INFINITE, 2)
-    assert numeric_security_index(r, 0, probe) == 2
-    assert numeric_security_index(r, 1, probe) == INFINITE
+    assert numeric_index_vector(r, probe, columns=(0,))[0] == 2
+    assert numeric_index_vector(r, probe, columns=(1,))[0] == INFINITE
 
 
 def test_numeric_indices_on_collider(collider_system, probe):
@@ -196,7 +226,7 @@ def test_numeric_index_of_scalar_chain_is_infinite(probe):
         c_edges=[("x1", "y1")],
     )
     r = sample_realization(system, seed=2)
-    assert numeric_security_index(r, 0, probe) == INFINITE
+    assert numeric_index_vector(r, probe, columns=(0,))[0] == INFINITE
 
 
 def test_numeric_index_cap(chain_system, probe):
@@ -204,7 +234,7 @@ def test_numeric_index_cap(chain_system, probe):
     with pytest.raises(EnumerationCapError):
         numeric_index_vector(r, probe, cap=2)
     with pytest.raises(IndexError):
-        numeric_security_index(r, 5, probe)
+        numeric_index_vector(r, probe, columns=(5,))
 
 
 def test_eigenvalue_collision_is_resampled():
@@ -222,5 +252,5 @@ def test_eigenvalue_collision_is_resampled():
     # The collision is detected and replaced by an off-spectrum frequency:
     # one sensor bounds the rank at 1, and either attack column makes the
     # other redundant.
-    assert generic_normal_rank(system, [0, 1], probe) == 1
+    assert generic_normal_rank(system, [[0, 1]], probe) == (1,)
     assert numeric_index_vector(r, probe) == (2, 2)
