@@ -106,7 +106,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_common(p_verify)
     p_verify.add_argument(
-        "--trials", type=_positive_int, default=50, help="realizations per component"
+        "--trials",
+        type=_positive_int,
+        default=50,
+        help="realizations for the index agreement check",
     )
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE)
@@ -208,6 +211,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         lines += ["nothing to verify", "verdict: PASS"]
         _write("\n".join(lines) + "\n", args.output)
         return EXIT_OK
+    if width > args.cap:
+        raise EnumerationCapError(width, args.cap)
 
     probe = default_probe(args.freqs, trials=3, tolerance=args.tol, seed=args.seed)
 
@@ -222,10 +227,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     lines.append(f"rank/linking agreement: {rank_hits}/{len(subsets)} subsets ({rank_rate:.2%})")
 
     # Structural/numerical index agreement, per component and realization.
-    report = all_indices(graph, cap=args.cap)
-    if report.errors:
-        raise EnumerationCapError(width, args.cap)
-    structural = tuple(r.index for r in report.results)
+    structural = tuple(r.index for r in all_indices(graph, cap=args.cap).results)
     pair_hits = 0
     vector_hits = 0
     total_pairs = width * args.trials

@@ -9,9 +9,12 @@ cross-validate the graph-theoretic path: linking sizes must match generic
 normal ranks, and structural indices must match realization indices for
 almost every draw.
 
-Each realization's transfer matrices are built once.  The generic normal
-ranks of a whole batch of column sets come from one draw of the probe's
-realizations, and all indices of one realization share its matrices.
+Each realization's transfer matrices are built once, stacked over the
+probe frequencies.  Every rank comes from one kernel that ranks a stack of
+matrices with a single SVD call: the generic normal ranks of a batch of
+column sets take one call per realization and set size, and the indices
+of a realization rank a whole subset-size level, in chunks of at most
+``RANK_CHUNK`` column sets, the first time the search reaches it.
 
 Attack columns are ordered like the graph's attack set: actuators in
 declaration order, then unprotected sensors in declaration order.
@@ -19,9 +22,10 @@ declaration order, then unprotected sensors in declaration order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import partial
-from typing import Iterable, Sequence
+from functools import cached_property, partial
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +41,9 @@ DEFAULT_TOLERANCE = 1e-9
 # Sampling annulus for probe frequencies, away from typical spectra of the
 # sampled dynamics.
 ANNULUS = (1.5, 2.5)
+
+# Column sets ranked per SVD call; bounds the memory of the stacked copy.
+RANK_CHUNK = 1024
 
 
 class SingularFrequencyError(ArithmeticError):
@@ -64,6 +71,29 @@ class Realization:
     @property
     def attack_width(self) -> int:
         return self.B_a.shape[1]
+
+    @cached_property
+    def _support(self) -> np.ndarray:
+        """Boolean mask of transfer entries that can be nonzero at all.
+
+        Entry (sensor, column) is structurally nonzero iff the component has
+        a directed propagation path to the sensor (or a dedicated
+        feedthrough).  Everything else is an exact zero of every realization.
+        """
+        arrives = (self.W != 0.0).astype(np.int64)  # arrives[j, i]: state i to j
+        n = arrives.shape[0]
+        closure = np.eye(n, dtype=bool)
+        for _ in range(n):
+            extended = closure | (arrives @ closure.astype(np.int64) > 0)
+            if (extended == closure).all():
+                break
+            closure = extended
+        reads = (self.C != 0.0).astype(np.int64)
+        drives = (self.B_a != 0.0).astype(np.int64)
+        through_states = (reads @ closure.astype(np.int64) @ drives) > 0
+        mask = through_states | (self.D_a != 0.0)
+        mask.flags.writeable = False
+        return mask
 
 
 @dataclass(frozen=True)
@@ -149,27 +179,6 @@ def sample_realization(
     return Realization(W=W, B_a=B_a, C=C, D_a=D_a, seed=seed)
 
 
-def _structural_support(realization: Realization) -> np.ndarray:
-    """Boolean mask of transfer entries that can be nonzero at all.
-
-    Entry (sensor, column) is structurally nonzero iff the component has a
-    directed propagation path to the sensor (or a dedicated feedthrough).
-    Everything else is an exact zero of every realization.
-    """
-    arrives = (realization.W != 0.0).astype(np.int64)  # arrives[j, i]: state i to j
-    n = arrives.shape[0]
-    closure = np.eye(n, dtype=bool)
-    for _ in range(n):
-        extended = closure | (arrives @ closure.astype(np.int64) > 0)
-        if (extended == closure).all():
-            break
-        closure = extended
-    reads = (realization.C != 0.0).astype(np.int64)
-    drives = (realization.B_a != 0.0).astype(np.int64)
-    through_states = (reads @ closure.astype(np.int64) @ drives) > 0
-    return through_states | (realization.D_a != 0.0)
-
-
 def transfer_matrix(realization: Realization, z: complex) -> np.ndarray:
     """The attack-to-sensor transfer matrix C (zI - W)^-1 B_a + D_a.
 
@@ -184,18 +193,34 @@ def transfer_matrix(realization: Realization, z: complex) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularFrequencyError(f"frequency {z} is an eigenvalue") from exc
     g = realization.C @ x + realization.D_a
-    g[~_structural_support(realization)] = 0.0
+    g[~realization._support] = 0.0
     return g
 
 
-def _rank(matrix: np.ndarray, tolerance: float) -> int:
-    if matrix.size == 0:
-        return 0
-    singular_values = np.linalg.svd(matrix, compute_uv=False)
-    largest = singular_values[0]
-    if largest == 0.0:
-        return 0
-    return int(np.count_nonzero(singular_values > tolerance * largest))
+def _ranks(stack: np.ndarray, tolerance: float) -> np.ndarray:
+    """Numerical rank of every matrix in ``stack``, over its last two axes.
+
+    One SVD call for the whole stack.  A rank counts the singular values
+    above ``tolerance`` times the largest one, so a zero or empty matrix
+    has rank 0.
+    """
+    singular_values = np.linalg.svd(stack, compute_uv=False)
+    return np.count_nonzero(singular_values > tolerance * singular_values[..., :1], axis=-1)
+
+
+def _column_ranks(
+    transfer: np.ndarray, sets: Iterable[tuple[int, ...]], tolerance: float
+) -> Iterator[tuple[list[tuple[int, ...]], np.ndarray]]:
+    """Equal-size column sets in chunks of at most ``RANK_CHUNK``, each with its ranks.
+
+    ``transfer`` stacks F matrices, (F, m, p); a chunk of N sets comes with
+    their ranks in each matrix, (N, F), from one SVD call.
+    """
+    sets = iter(sets)
+    while chunk := list(itertools.islice(sets, RANK_CHUNK)):
+        columns = np.array(chunk, dtype=np.intp).reshape(len(chunk), len(chunk[0]))
+        # (F, m, N, s) -> (N, F, m, s): one m x s matrix per set and frequency.
+        yield chunk, _ranks(transfer[:, :, columns].transpose(2, 0, 1, 3), tolerance)
 
 
 def transfer_rank(
@@ -208,7 +233,7 @@ def transfer_rank(
     cols = _column_tuple(realization.attack_width, columns)
     if not cols:
         return 0
-    return _rank(transfer_matrix(realization, z)[:, cols], tolerance)
+    return int(_ranks(transfer_matrix(realization, z)[:, cols], tolerance))
 
 
 def pencil_rank(
@@ -224,7 +249,7 @@ def pencil_rank(
     cols = _column_tuple(realization.attack_width, columns)
     top = np.hstack([realization.W - z * np.eye(realization.W.shape[0]), realization.B_a[:, cols]])
     bottom = np.hstack([realization.C.astype(complex), realization.D_a[:, cols]])
-    return _rank(np.vstack([top, bottom]), tolerance)
+    return int(_ranks(np.vstack([top, bottom]), tolerance))
 
 
 def _column_tuple(width: int, columns: Iterable[int]) -> tuple[int, ...]:
@@ -235,8 +260,11 @@ def _column_tuple(width: int, columns: Iterable[int]) -> tuple[int, ...]:
     return cols
 
 
-def _transfers(realization: Realization, probe: RankProbe, stream: int) -> list[np.ndarray]:
-    """Transfer matrices at the probe frequencies, collisions resampled from ``stream``."""
+def _transfers(realization: Realization, probe: RankProbe, stream: int) -> np.ndarray:
+    """Transfer matrices at the probe frequencies, stacked (F, m, p).
+
+    Collisions with the spectrum are resampled from ``stream``.
+    """
     eigenvalues = np.linalg.eigvals(realization.W)
     rng = None
     out = []
@@ -248,7 +276,7 @@ def _transfers(realization: Realization, probe: RankProbe, stream: int) -> list[
             radius = np.sqrt(rng.uniform(low**2, high**2))
             z = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         out.append(transfer_matrix(realization, z))
-    return out
+    return np.stack(out)
 
 
 def generic_normal_rank(
@@ -262,13 +290,17 @@ def generic_normal_rank(
     sensor set for almost every draw.
     """
     sets = [_column_tuple(system.attack_width, cols) for cols in column_sets]
-    best = [0] * len(sets)
+    by_size: dict[int, list[int]] = {}
+    for k, cols in enumerate(sets):
+        by_size.setdefault(len(cols), []).append(k)
+    best = np.zeros(len(sets), dtype=np.int64)
     for trial in range(probe.trials):
-        realization = sample_realization(system, seed=probe.seed + trial)
-        for g in _transfers(realization, probe, stream=trial):
-            for k, cols in enumerate(sets):
-                best[k] = max(best[k], _rank(g[:, cols], probe.tolerance))
-    return tuple(best)
+        transfer = _transfers(sample_realization(system, seed=probe.seed + trial), probe, trial)
+        for members in by_size.values():
+            chunks = _column_ranks(transfer, (sets[k] for k in members), probe.tolerance)
+            ranks = np.concatenate([rows.max(axis=1) for _, rows in chunks])
+            best[members] = np.maximum(best[members], ranks)
+    return tuple(best.tolist())
 
 
 def numeric_index_vector(
@@ -293,10 +325,16 @@ def numeric_index_vector(
 
     transfer = _transfers(realization, probe, stream=realization.seed)
     cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal rank tuples, stored once
 
     def ranks(cols: tuple[int, ...]) -> tuple[int, ...]:
         if cols not in cache:
-            cache[cols] = tuple(_rank(g[:, cols], probe.tolerance) for g in transfer)
+            # A miss ranks its whole size level: stacked SVD calls cost far
+            # less per matrix than one call per column set.
+            level = itertools.combinations(range(width), len(cols))
+            for sets, rows in _column_ranks(transfer, level, probe.tolerance):
+                for key, row in zip(sets, map(tuple, rows.tolist())):
+                    cache[key] = shared.setdefault(row, row)
         return cache[cols]
 
     def redundant(column: int, positions: tuple[int, ...]) -> bool:

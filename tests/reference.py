@@ -7,17 +7,23 @@ one-network-per-graph path and its size memo must agree with these
 functions exactly, down to the witness paths.  The generic normal rank of
 one column set is the public ``transfer_rank`` maximized over freshly
 drawn realizations and the probe's frequencies, so the library's batched
-rank must agree with it set by set.
+rank must agree with it set by set.  A realization's indices rank each
+subset with one ``transfer_rank`` call per probe frequency, so the
+library's level-at-a-time stacked ranks must agree with them exactly, and
+``rank`` is the one-matrix rank rule the stacked kernel must reproduce.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from secindex.index import DEFAULT_SUBSET_CAP, SecurityIndexResult, first_redundant_subset
 from secindex.linking import Linking, _Dinic
 from secindex.model import AttackGraph, StructuredSystem, VertexId
-from secindex.oracle import RankProbe, sample_realization, transfer_rank
+from secindex.oracle import RankProbe, Realization, sample_realization, transfer_rank
 
 
 def split_network(
@@ -93,4 +99,35 @@ def generic_normal_rank(system: StructuredSystem, columns: Sequence[int], probe:
         transfer_rank(sample_realization(system, probe.seed + t), columns, z, probe.tolerance)
         for t in range(probe.trials)
         for z in probe.frequencies
+    )
+
+
+def rank(matrix: np.ndarray, tolerance: float) -> int:
+    """Singular values of one matrix above ``tolerance`` times the largest."""
+    if matrix.size == 0:
+        return 0
+    singular_values = np.linalg.svd(matrix, compute_uv=False)
+    if singular_values[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(singular_values > tolerance * singular_values[0]))
+
+
+def numeric_index_vector(
+    realization: Realization, probe: RankProbe, columns: Sequence[int] | None = None
+) -> tuple[int | float, ...]:
+    """Realization-level indices, one ``transfer_rank`` call per subset and frequency."""
+    width = realization.attack_width
+
+    def ranks(cols: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(
+            transfer_rank(realization, cols, z, probe.tolerance) for z in probe.frequencies
+        )
+
+    def redundant(column: int, positions: tuple[int, ...]) -> bool:
+        return ranks(positions) == ranks(tuple(k for k in positions if k != column))
+
+    wanted = range(width) if columns is None else columns
+    return tuple(
+        first_redundant_subset(width, c, partial(redundant, c), DEFAULT_SUBSET_CAP)[0]
+        for c in wanted
     )

@@ -53,6 +53,17 @@ def test_index_cap_exceeded(capsys):
     assert "cap" in err
 
 
+def test_verify_cap_exceeded_fails_before_the_rank_check(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rank check ran above the cap")
+
+    monkeypatch.setattr("secindex.cli.generic_normal_rank", refuse)
+    code, out, err = run(capsys, "verify", "--input", CHAIN, "--cap", "1")
+    assert code == EXIT_DATA_ERROR
+    assert out == ""
+    assert "above the enumeration cap of 1" in err
+
+
 def test_index_missing_file(capsys):
     code, _, err = run(capsys, "index", "--input", "no_such_file.json")
     assert code == EXIT_DATA_ERROR

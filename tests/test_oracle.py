@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -5,10 +7,13 @@ from hypothesis import strategies as st
 
 from secindex.index import INFINITE, EnumerationCapError
 from secindex.linking import max_linking_size
-from secindex.model import StructuredSystem, build_attack_graph, random_structured_system
+from secindex.model import Sensor, StructuredSystem, build_attack_graph, random_structured_system
 from secindex.oracle import (
+    DEFAULT_TOLERANCE,
     EIGENVALUE_MARGIN,
     RankProbe,
+    Realization,
+    _ranks,
     annulus_frequencies,
     default_probe,
     generic_normal_rank,
@@ -254,3 +259,81 @@ def test_eigenvalue_collision_is_resampled():
     # other redundant.
     assert generic_normal_rank(system, [[0, 1]], probe) == (1,)
     assert numeric_index_vector(r, probe) == (2, 2)
+
+
+def test_rank_kernel_on_a_stack_equals_it_on_each_slice():
+    rng = np.random.default_rng(17)
+    frequencies, sets, rows = 3, 5, 4
+    for size in (0, 1, 3, 6):
+        shape = (frequencies, sets, rows, size)
+        stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        stack[0, 1] = 0.0
+        if size:
+            stack[1, 2] = np.outer(stack[1, 2, :, 0], rng.normal(size=size))
+        if size >= 3:
+            stack[2, 3, :, 2] = stack[2, 3, :, 0] - 2.0 * stack[2, 3, :, 1]
+        stack[2, 4] *= 1e-12  # the tolerance is relative to the largest singular value
+        ranks = _ranks(stack, DEFAULT_TOLERANCE)
+        assert ranks.shape == (frequencies, sets)
+        for f, k in np.ndindex(frequencies, sets):
+            alone = int(_ranks(stack[f, k], DEFAULT_TOLERANCE))
+            assert ranks[f, k] == alone == reference.rank(stack[f, k], DEFAULT_TOLERANCE)
+        assert ranks[0, 1] == 0
+        assert ranks[1, 2] == min(size, 1)
+        assert ranks[0, 0] == ranks[2, 4] == min(size, rows)
+        if size >= 3:
+            assert ranks[2, 3] == min(size - 1, rows)
+
+
+@given(structured_systems(max_states=4, max_actuators=3, max_sensors=2), st.data())
+def test_numeric_index_vector_matches_per_subset_reference(system, data):
+    realization = sample_realization(system, seed=data.draw(st.integers(0, 10**6)))
+    if data.draw(st.booleans(), label="drop every sensor"):
+        realization = Realization(
+            W=realization.W,
+            B_a=realization.B_a,
+            C=realization.C[:0],
+            D_a=realization.D_a[:0],
+            seed=realization.seed,
+        )
+    probe = default_probe(
+        freqs=data.draw(st.integers(min_value=1, max_value=3)),
+        seed=data.draw(st.integers(min_value=0, max_value=10**6)),
+    )
+    eigenvalues = np.linalg.eigvals(realization.W)
+    for z in probe.frequencies:
+        # The reference does not resample colliding frequencies.
+        assume(np.min(np.abs(eigenvalues - z)) >= EIGENVALUE_MARGIN)
+    width = realization.attack_width
+    columns = data.draw(st.permutations(range(width)))[: data.draw(st.integers(0, width))]
+    expected = reference.numeric_index_vector(realization, probe)
+    assert numeric_index_vector(realization, probe) == expected
+    assert numeric_index_vector(realization, probe, columns=columns) == tuple(
+        expected[c] for c in columns
+    )
+
+
+def test_rank_memory_stays_bounded_on_a_full_width_16_search():
+    # u1..u15 share seven sensors, so every one has a small index; u16 alone
+    # reaches y8, so its index is infinite and its search ranks every level.
+    width = 16
+    states = [f"x{k}" for k in range(1, width + 1)]
+    system = StructuredSystem(
+        states=states,
+        actuators=[f"u{k}" for k in range(1, width + 1)],
+        sensors=[Sensor(f"y{k}", True) for k in range(1, 9)],
+        b_edges=[(f"u{k}", f"x{k}") for k in range(1, width + 1)],
+        c_edges=[(f"x{k}", f"y{k % 7 + 1}") for k in range(1, width)]
+        + [(f"x{k}", f"y{(k + 3) % 7 + 1}") for k in range(1, width)]
+        + [(f"x{width}", "y8")],
+    )
+    realization = sample_realization(system, seed=16)
+    probe = default_probe(seed=16)
+    tracemalloc.start()
+    try:
+        indices = numeric_index_vector(realization, probe, columns=(width - 1,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert indices == (INFINITE,)
+    assert peak < 20 * 2**20
