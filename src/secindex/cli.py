@@ -215,6 +215,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise EnumerationCapError(width, args.cap)
 
     probe = default_probe(args.freqs, trials=3, tolerance=args.tol, seed=args.seed)
+    # Computed first, so that the rank check below finds the linking sizes
+    # this search has already memoized.
+    structural = tuple(r.index for r in all_indices(graph, cap=args.cap).results)
 
     # Rank/linking agreement, per attack subset.
     subsets = _rank_check_subsets(width, args.seed)
@@ -227,7 +230,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     lines.append(f"rank/linking agreement: {rank_hits}/{len(subsets)} subsets ({rank_rate:.2%})")
 
     # Structural/numerical index agreement, per component and realization.
-    structural = tuple(r.index for r in all_indices(graph, cap=args.cap).results)
     pair_hits = 0
     vector_hits = 0
     total_pairs = width * args.trials

@@ -74,8 +74,7 @@ def first_redundant_subset(
     Subsets are tried by size, then lexicographically, and handed to
     ``redundant`` as sorted position tuples.  Returns ``(size, positions,
     subsets_examined)``, or ``(INFINITE, None, 2**(width - 1))`` when no
-    subset qualifies.  The structural and the numerical index differ only
-    in the test they pass.
+    subset qualifies.
     """
     if width > cap:
         raise EnumerationCapError(width, cap)
@@ -88,6 +87,28 @@ def first_redundant_subset(
             if redundant(positions):
                 return size, positions, examined
     return INFINITE, None, examined
+
+
+def classify_columns(singles, deletions, full):
+    """Columns settled by a few ranks, and the core left to search.
+
+    ``singles[i, f]``, ``deletions[i, f]`` and ``full[f]`` are the ranks of
+    {i}, of A \\ {i} and of the whole attack set A under F rank functions
+    (F probe frequencies; F = 1 for the linking size), as numpy arrays of
+    shape (w, F), (w, F) and (1, F) or (F,).  Returns three boolean masks
+    of length w, for rank functions of matroids:
+
+    - ``infinite``: a coloop (r(A \\ {i}) < r(A)) under some function.  It
+      is redundant in no subset there, while any other column is
+      redundant in A under every function.
+    - ``single``: a loop (r({i}) = 0) under every function; index 1.
+    - ``core``: not a loop or a coloop under each function.  Dropping a
+      column outside the core from a redundant subset keeps it redundant,
+      so no smallest one holds such a column.
+    """
+    loop = singles == 0
+    coloop = deletions < full
+    return coloop.any(axis=1), loop.all(axis=1), ~(loop | coloop).all(axis=1)
 
 
 def security_index(

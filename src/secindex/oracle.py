@@ -10,11 +10,15 @@ normal ranks, and structural indices must match realization indices for
 almost every draw.
 
 Each realization's transfer matrices are built once, stacked over the
-probe frequencies.  Every rank comes from one kernel that ranks a stack of
-matrices with a single SVD call: the generic normal ranks of a batch of
-column sets take one call per realization and set size, and the indices
-of a realization rank a whole subset-size level, in chunks of at most
-``RANK_CHUNK`` column sets, the first time the search reaches it.
+probe frequencies.  Ranks come from one kernel that ranks a stack of
+matrices with a single SVD call, in chunks of at most ``RANK_CHUNK``
+column sets: the generic normal ranks of a batch of column sets take one
+call per realization and set size.  The indices of a realization first
+settle every loop and coloop from its zero columns and from the ranks of
+the whole attack set and of each set missing one column, then sweep only
+the remaining core, one subset-size level at a time.  That reduction
+takes the thresholded ranks to be the rank functions of matroids, as
+exact ranks are.
 
 Attack columns are ordered like the graph's attack set: actuators in
 declaration order, then unprotected sensors in declaration order.
@@ -23,13 +27,19 @@ declaration order, then unprotected sensors in declaration order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from secindex.index import DEFAULT_SUBSET_CAP, first_redundant_subset
+from secindex.index import (
+    DEFAULT_SUBSET_CAP,
+    INFINITE,
+    EnumerationCapError,
+    classify_columns,
+)
 from secindex.model import StructuredSystem
 
 # Frequencies closer than this to an eigenvalue of W are treated as
@@ -208,19 +218,22 @@ def _ranks(stack: np.ndarray, tolerance: float) -> np.ndarray:
     return np.count_nonzero(singular_values > tolerance * singular_values[..., :1], axis=-1)
 
 
-def _column_ranks(
-    transfer: np.ndarray, sets: Iterable[tuple[int, ...]], tolerance: float
-) -> Iterator[tuple[list[tuple[int, ...]], np.ndarray]]:
-    """Equal-size column sets in chunks of at most ``RANK_CHUNK``, each with its ranks.
+def _column_ranks(transfer: np.ndarray, columns: np.ndarray, tolerance: float) -> np.ndarray:
+    """Rank of each equal-size column set at each probe frequency, (N, F).
 
-    ``transfer`` stacks F matrices, (F, m, p); a chunk of N sets comes with
-    their ranks in each matrix, (N, F), from one SVD call.
+    ``transfer`` stacks F matrices, (F, m, p), and ``columns`` holds one set
+    per row, (N, s).  Sets are ranked in chunks of at most ``RANK_CHUNK``,
+    one SVD call each; empty sets have rank 0 without one.
     """
-    sets = iter(sets)
-    while chunk := list(itertools.islice(sets, RANK_CHUNK)):
-        columns = np.array(chunk, dtype=np.intp).reshape(len(chunk), len(chunk[0]))
-        # (F, m, N, s) -> (N, F, m, s): one m x s matrix per set and frequency.
-        yield chunk, _ranks(transfer[:, :, columns].transpose(2, 0, 1, 3), tolerance)
+    ranks = np.zeros((len(columns), transfer.shape[0]), dtype=np.intp)
+    if columns.shape[1]:
+        for start in range(0, len(columns), RANK_CHUNK):
+            chunk = columns[start : start + RANK_CHUNK]
+            # (F, m, N, s) -> (N, F, m, s): one m x s matrix per set and frequency.
+            ranks[start : start + RANK_CHUNK] = _ranks(
+                transfer[:, :, chunk].transpose(2, 0, 1, 3), tolerance
+            )
+    return ranks
 
 
 def transfer_rank(
@@ -234,22 +247,6 @@ def transfer_rank(
     if not cols:
         return 0
     return int(_ranks(transfer_matrix(realization, z)[:, cols], tolerance))
-
-
-def pencil_rank(
-    realization: Realization,
-    columns: Iterable[int],
-    z: complex,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> int:
-    """Numerical rank of the system pencil restricted to attack columns.
-
-    Equals n + ``transfer_rank`` whenever z is not an eigenvalue of W.
-    """
-    cols = _column_tuple(realization.attack_width, columns)
-    top = np.hstack([realization.W - z * np.eye(realization.W.shape[0]), realization.B_a[:, cols]])
-    bottom = np.hstack([realization.C.astype(complex), realization.D_a[:, cols]])
-    return int(_ranks(np.vstack([top, bottom]), tolerance))
 
 
 def _column_tuple(width: int, columns: Iterable[int]) -> tuple[int, ...]:
@@ -293,12 +290,15 @@ def generic_normal_rank(
     by_size: dict[int, list[int]] = {}
     for k, cols in enumerate(sets):
         by_size.setdefault(len(cols), []).append(k)
+    groups = [
+        (members, np.array([sets[k] for k in members], dtype=np.intp).reshape(len(members), size))
+        for size, members in by_size.items()
+    ]
     best = np.zeros(len(sets), dtype=np.int64)
     for trial in range(probe.trials):
         transfer = _transfers(sample_realization(system, seed=probe.seed + trial), probe, trial)
-        for members in by_size.values():
-            chunks = _column_ranks(transfer, (sets[k] for k in members), probe.tolerance)
-            ranks = np.concatenate([rows.max(axis=1) for _, rows in chunks])
+        for members, columns in groups:
+            ranks = _column_ranks(transfer, columns, probe.tolerance).max(axis=1)
             best[members] = np.maximum(best[members], ranks)
     return tuple(best.tolist())
 
@@ -316,32 +316,66 @@ def numeric_index_vector(
     unchanged at every probe frequency, so a perfectly undetectable attack
     using it exists for this exact parameter draw.  Infinite when no
     subset qualifies.
+
+    The ranks at each frequency are taken to behave as exact ranks, that
+    is, as the rank function of a matroid on the columns.  Then
+    ``index.classify_columns`` settles loops and coloops from the ranks of
+    the singletons, of the whole attack set and of each set missing one
+    column, and no smallest redundant subset holds a column outside the
+    core it leaves.  The core is swept from size 2 upwards, a whole size
+    level ranked at once, and a column is resolved at the first level where
+    a set holding it has the ranks of that set without it; the sweep stops
+    once every requested column is resolved.  A column that is a coloop
+    under no frequency is redundant in the core itself, so the core's own
+    size is never ranked.  A threshold so coarse that the ranks are no
+    longer those of a matroid can change the result.
     """
     width = realization.attack_width
     wanted = tuple(range(width)) if columns is None else tuple(int(c) for c in columns)
     _column_tuple(width, wanted)  # range check only; the order of ``wanted`` stays
     if not wanted:
         return ()
+    if width > cap:
+        raise EnumerationCapError(width, cap)
 
     transfer = _transfers(realization, probe, stream=realization.seed)
-    cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal rank tuples, stored once
+    every = np.arange(width)
+    # One column has rank 1 exactly when it is nonzero: its one singular
+    # value is its norm.
+    singles = (transfer != 0.0).any(axis=1).T.astype(np.intp)
+    full = _column_ranks(transfer, every[None, :], probe.tolerance)
+    others = np.tile(every, (width, 1))[~np.eye(width, dtype=bool)].reshape(width, width - 1)
+    deletions = _column_ranks(transfer, others, probe.tolerance)
+    infinite, single, in_core = classify_columns(singles, deletions, full)
+    indices: list[int | float] = [1 if s else INFINITE for s in single.tolist()]
 
-    def ranks(cols: tuple[int, ...]) -> tuple[int, ...]:
-        if cols not in cache:
-            # A miss ranks its whole size level: stacked SVD calls cost far
-            # less per matrix than one call per column set.
-            level = itertools.combinations(range(width), len(cols))
-            for sets, rows in _column_ranks(transfer, level, probe.tolerance):
-                for key, row in zip(sets, map(tuple, rows.tolist())):
-                    cache[key] = shared.setdefault(row, row)
-        return cache[cols]
-
-    def redundant(column: int, positions: tuple[int, ...]) -> bool:
-        rest = tuple(k for k in positions if k != column)
-        return ranks(positions) == ranks(rest)
-
-    return tuple(
-        first_redundant_subset(width, column, partial(redundant, column), cap)[0]
-        for column in wanted
-    )
+    core = np.flatnonzero(in_core)
+    pending = np.zeros(width, dtype=bool)
+    pending[list(wanted)] = True
+    pending = pending[core] & ~infinite[core]
+    below = singles[core]  # the core's level 1
+    row = np.empty(1 << len(core), dtype=np.intp)  # a set's row in its level, by bit mask
+    row[1 << np.arange(len(core))] = np.arange(len(core))
+    for size in range(2, len(core)):
+        if not pending.any():
+            break
+        sets = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(len(core)), size)),
+            dtype=np.intp,
+            count=math.comb(len(core), size) * size,
+        ).reshape(-1, size)
+        bits = 1 << sets
+        masks = bits.sum(axis=1)
+        level = _column_ranks(transfer, core[sets], probe.tolerance)
+        # [n, j]: the ranks of set n against those of set n without its j-th member.
+        redundant = (below[row[masks[:, None] - bits]] == level[:, None, :]).all(axis=2)
+        row[masks] = np.arange(len(masks))
+        resolved = np.zeros(len(core), dtype=bool)
+        resolved[sets[redundant]] = True
+        for k in np.flatnonzero(resolved & pending).tolist():
+            indices[core[k]] = size
+        pending &= ~resolved
+        below = level
+    for k in np.flatnonzero(pending).tolist():
+        indices[core[k]] = len(core)  # redundant in the core itself, being no coloop
+    return tuple(indices[c] for c in wanted)

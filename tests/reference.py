@@ -9,13 +9,14 @@ one column set is the public ``transfer_rank`` maximized over freshly
 drawn realizations and the probe's frequencies, so the library's batched
 rank must agree with it set by set.  A realization's indices rank each
 subset with one ``transfer_rank`` call per probe frequency, so the
-library's level-at-a-time stacked ranks must agree with them exactly, and
-``rank`` is the one-matrix rank rule the stacked kernel must reproduce.
+library's reduced, level-at-a-time sweep must agree with them exactly;
+``numeric_witness`` also gives the witness behind each index.  ``rank`` is
+the one-matrix rank rule the stacked kernel must reproduce, and
+``pencil_rank`` checks ``transfer_rank`` through the system pencil.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,7 +24,13 @@ import numpy as np
 from secindex.index import DEFAULT_SUBSET_CAP, SecurityIndexResult, first_redundant_subset
 from secindex.linking import Linking, _Dinic
 from secindex.model import AttackGraph, StructuredSystem, VertexId
-from secindex.oracle import RankProbe, Realization, sample_realization, transfer_rank
+from secindex.oracle import (
+    DEFAULT_TOLERANCE,
+    RankProbe,
+    Realization,
+    sample_realization,
+    transfer_rank,
+)
 
 
 def split_network(
@@ -112,22 +119,44 @@ def rank(matrix: np.ndarray, tolerance: float) -> int:
     return int(np.count_nonzero(singular_values > tolerance * singular_values[0]))
 
 
-def numeric_index_vector(
-    realization: Realization, probe: RankProbe, columns: Sequence[int] | None = None
-) -> tuple[int | float, ...]:
-    """Realization-level indices, one ``transfer_rank`` call per subset and frequency."""
-    width = realization.attack_width
+def numeric_witness(
+    realization: Realization, probe: RankProbe, column: int
+) -> tuple[int | float, tuple[int, ...] | None, int]:
+    """One column's ``first_redundant_subset`` under the per-subset rank test."""
 
     def ranks(cols: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(
             transfer_rank(realization, cols, z, probe.tolerance) for z in probe.frequencies
         )
 
-    def redundant(column: int, positions: tuple[int, ...]) -> bool:
+    def redundant(positions: tuple[int, ...]) -> bool:
         return ranks(positions) == ranks(tuple(k for k in positions if k != column))
 
-    wanted = range(width) if columns is None else columns
-    return tuple(
-        first_redundant_subset(width, c, partial(redundant, c), DEFAULT_SUBSET_CAP)[0]
-        for c in wanted
+    return first_redundant_subset(
+        realization.attack_width, column, redundant, DEFAULT_SUBSET_CAP
     )
+
+
+def numeric_index_vector(
+    realization: Realization, probe: RankProbe, columns: Sequence[int] | None = None
+) -> tuple[int | float, ...]:
+    """Realization-level indices, one ``transfer_rank`` call per subset and frequency."""
+    wanted = range(realization.attack_width) if columns is None else columns
+    return tuple(numeric_witness(realization, probe, c)[0] for c in wanted)
+
+
+def pencil_rank(
+    realization: Realization,
+    columns: Iterable[int],
+    z: complex,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> int:
+    """Numerical rank of the system pencil restricted to attack columns.
+
+    Equals n + ``transfer_rank`` whenever z is not an eigenvalue of W
+    (Rosenbrock), so it checks ``transfer_rank`` by another route.
+    """
+    cols = sorted(set(columns))
+    top = np.hstack([realization.W - z * np.eye(realization.W.shape[0]), realization.B_a[:, cols]])
+    bottom = np.hstack([realization.C.astype(complex), realization.D_a[:, cols]])
+    return rank(np.vstack([top, bottom]), tolerance)

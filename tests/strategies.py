@@ -95,3 +95,30 @@ def structured_systems(
         b_edges=b_edges,
         c_edges=c_edges,
     )
+
+
+@st.composite
+def systems_with_loops_and_coloops(draw, max_extra: int = 2):
+    """``structured_systems`` plus actuators that reach no sensor or a private one.
+
+    A silent actuator drives a state no sensor reads; a private one drives a
+    fresh state read only by a fresh sensor, which may itself be attackable.
+    """
+    base = draw(structured_systems(max_states=4, max_actuators=3, max_sensors=2))
+    silent = draw(st.integers(min_value=0, max_value=max_extra))
+    private = draw(st.integers(min_value=0, max_value=max_extra))
+    protected = draw(st.lists(st.booleans(), min_size=private, max_size=private))
+    return StructuredSystem(
+        states=base.states
+        + tuple(f"s{k}" for k in range(silent))
+        + tuple(f"p{k}" for k in range(private)),
+        actuators=base.actuators
+        + tuple(f"v{k}" for k in range(silent))
+        + tuple(f"w{k}" for k in range(private)),
+        sensors=base.sensors + tuple(Sensor(f"z{k}", protected[k]) for k in range(private)),
+        w_edges=base.w_edges,
+        b_edges=base.b_edges
+        | {(f"v{k}", f"s{k}") for k in range(silent)}
+        | {(f"w{k}", f"p{k}") for k in range(private)},
+        c_edges=base.c_edges | {(f"p{k}", f"z{k}") for k in range(private)},
+    )

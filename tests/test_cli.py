@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from secindex.cli import (
 
 from .conftest import FIXTURES
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 CHAIN = str(FIXTURES / "chain.json")
 COLLIDER = str(FIXTURES / "collider.json")
 
@@ -176,3 +178,13 @@ def test_repeated_invocations_are_byte_identical(capsys):
     _, first, _ = run(capsys, "verify", "--input", COLLIDER, "--trials", "3", "--seed", "1")
     _, second, _ = run(capsys, "verify", "--input", COLLIDER, "--trials", "3", "--seed", "1")
     assert first == second
+
+
+@pytest.mark.parametrize("name", ["chain", "collider"])
+def test_verify_output_matches_golden_file(capsys, monkeypatch, name):
+    # Outputs of the plain per-subset search, with the CLI defaults; the
+    # input is named relative to the fixtures.
+    monkeypatch.chdir(FIXTURES)
+    code, out, _ = run(capsys, "verify", "--input", f"{name}.json")
+    assert code == EXIT_OK
+    assert out.encode("utf-8") == (GOLDEN / f"{name}_verify.txt").read_bytes()

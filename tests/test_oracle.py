@@ -18,13 +18,13 @@ from secindex.oracle import (
     default_probe,
     generic_normal_rank,
     numeric_index_vector,
-    pencil_rank,
     sample_realization,
     transfer_rank,
 )
 
 from . import reference
-from .strategies import structured_systems
+from .reference import pencil_rank
+from .strategies import structured_systems, systems_with_loops_and_coloops
 
 
 @pytest.fixture(scope="module")
@@ -337,3 +337,93 @@ def test_rank_memory_stays_bounded_on_a_full_width_16_search():
         tracemalloc.stop()
     assert indices == (INFINITE,)
     assert peak < 20 * 2**20
+
+
+@given(systems_with_loops_and_coloops(), st.data())
+def test_loops_and_coloops_settle_indices_and_stay_out_of_witnesses(system, data):
+    # The facts the fast index path rests on, checked on the slow reference.
+    realization = sample_realization(system, seed=data.draw(st.integers(0, 10**6)))
+    probe = default_probe(
+        freqs=data.draw(st.integers(min_value=1, max_value=3)),
+        seed=data.draw(st.integers(min_value=0, max_value=10**6)),
+    )
+    eigenvalues = np.linalg.eigvals(realization.W)
+    for z in probe.frequencies:
+        # The reference does not resample colliding frequencies.
+        assume(np.min(np.abs(eigenvalues - z)) >= EIGENVALUE_MARGIN)
+    width = realization.attack_width
+    every = range(width)
+
+    def ranks(cols):
+        return [transfer_rank(realization, cols, z) for z in probe.frequencies]
+
+    full = ranks(every)
+    loop = [[r == 0 for r in ranks([c])] for c in every]
+    coloop = [
+        [r < f for r, f in zip(ranks([k for k in every if k != c]), full)] for c in every
+    ]
+    settled = [all(a or b for a, b in zip(loop[c], coloop[c])) for c in every]
+    for c in every:
+        index, witness, _ = reference.numeric_witness(realization, probe, c)
+        assert (index == INFINITE) == any(coloop[c])
+        assert (index == 1) == all(loop[c])
+        if index not in (1, INFINITE):
+            assert not any(settled[k] for k in witness)
+
+
+def test_rank_memory_stays_bounded_on_a_deep_width_16_sweep():
+    # Seven sensors read all sixteen states, so any seven columns are
+    # independent and any eight dependent: every index is 8, and the sweep
+    # ranks every level of the full-width core up to size 8.
+    width = 16
+    states = [f"x{k}" for k in range(1, width + 1)]
+    system = StructuredSystem(
+        states=states,
+        actuators=[f"u{k}" for k in range(1, width + 1)],
+        sensors=[Sensor(f"y{k}", True) for k in range(1, 8)],
+        b_edges=[(f"u{k}", f"x{k}") for k in range(1, width + 1)],
+        c_edges=[(x, f"y{k}") for x in states for k in range(1, 8)],
+    )
+    realization = sample_realization(system, seed=16)
+    probe = default_probe(seed=16)
+    tracemalloc.start()
+    try:
+        indices = numeric_index_vector(realization, probe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert indices == (8,) * width
+    assert peak < 20 * 2**20
+
+
+def test_numeric_index_vector_matches_reference_on_wider_systems():
+    # Widths up to 9 with mixed finite indices, so the core sweep runs
+    # several levels below the core's own size.
+    probe = default_probe(seed=5)
+    for seed in range(40):
+        system = random_structured_system(seed, max_states=8, max_actuators=5, max_sensors=4)
+        realization = sample_realization(system, seed=seed)
+        assert numeric_index_vector(realization, probe) == reference.numeric_index_vector(
+            realization, probe
+        )
+
+
+def test_loop_or_coloop_at_one_frequency_only():
+    # y1 = x1 + x2 with x1' = u1 and x2' = -1.5 x1 + 0.5 x2 + u2: u1's
+    # transfer (z - 2) / (z (z - 0.5)) vanishes at z = 2, where u1 is a loop
+    # and u2 a coloop; elsewhere the two columns are parallel.  u3 drives a
+    # copy of x1 read only by y2, so it is a loop at z = 2 and a coloop
+    # elsewhere.
+    block = np.array([[0.0, 0.0], [-1.5, 0.5]])
+    realization = Realization(
+        W=np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), block]]),
+        B_a=np.eye(4)[:, :3],
+        C=np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]]),
+        D_a=np.zeros((2, 3)),
+        seed=0,
+    )
+    probe = RankProbe(frequencies=(2.0, 1.7 + 0.9j))
+    assert [transfer_rank(realization, [c], 2.0) for c in range(3)] == [0, 1, 0]
+    assert [transfer_rank(realization, [c], 1.7 + 0.9j) for c in range(3)] == [1, 1, 1]
+    assert numeric_index_vector(realization, probe) == (2, INFINITE, INFINITE)
+    assert reference.numeric_index_vector(realization, probe) == (2, INFINITE, INFINITE)
