@@ -10,7 +10,7 @@ subset it belongs to, the index is infinite.
 The search enumerates subsets by cardinality, lexicographically over
 attack-set positions, so the reported witness is the lexicographically
 smallest qualifying subset of minimal size.  The cost is combinatorial,
-which is why the attack-set size is capped.
+which is why ``security_index`` refuses attack sets wider than its cap.
 """
 
 from __future__ import annotations
@@ -60,14 +60,12 @@ class IndexReport:
 
     graph: AttackGraph
     results: tuple[SecurityIndexResult, ...]
-    errors: tuple[tuple[VertexId, str], ...]
 
 
 def first_redundant_subset(
     width: int,
     member: int,
     redundant: Callable[[tuple[int, ...]], bool],
-    cap: int,
 ) -> tuple[int | float, tuple[int, ...] | None, int]:
     """Smallest subset of range(width) containing ``member`` that passes ``redundant``.
 
@@ -76,8 +74,6 @@ def first_redundant_subset(
     subsets_examined)``, or ``(INFINITE, None, 2**(width - 1))`` when no
     subset qualifies.
     """
-    if width > cap:
-        raise EnumerationCapError(width, cap)
     examined = 0
     for size in range(1, width + 1):
         for positions in itertools.combinations(range(width), size):
@@ -119,18 +115,21 @@ def security_index(
     A subset qualifies when the component is not saturated by all of its
     maximum linkings to the sensors.  Enumeration starts at size 1 so that
     graphs violating the non-degeneracy assumptions still get meaningful
-    answers (a dangling actuator has index 1).
+    answers (a dangling actuator has index 1).  Raises
+    ``EnumerationCapError`` when the attack set is wider than ``cap``.
     """
     attack_set = graph.attack_set
     if component not in attack_set:
         raise UnknownVertexError(f"not an attackable component: {component}")
+    if len(attack_set) > cap:
+        raise EnumerationCapError(len(attack_set), cap)
 
     def avoidable(positions: tuple[int, ...]) -> bool:
         subset = tuple(attack_set[k] for k in positions)
         return not saturated_by_all_max_linkings(graph, subset, component)
 
     size, positions, examined = first_redundant_subset(
-        len(attack_set), attack_set.index(component), avoidable, cap
+        len(attack_set), attack_set.index(component), avoidable
     )
     return SecurityIndexResult(
         component=component,
@@ -143,17 +142,12 @@ def security_index(
 def all_indices(graph: AttackGraph, cap: int = DEFAULT_SUBSET_CAP) -> IndexReport:
     """Indices for every attackable component, in attack-set order.
 
-    Per-component failures land in the report's ``errors`` instead of
-    aborting the remaining components.
+    Raises ``EnumerationCapError`` when the attack set is wider than ``cap``.
     """
-    results: list[SecurityIndexResult] = []
-    errors: list[tuple[VertexId, str]] = []
-    for component in graph.attack_set:
-        try:
-            results.append(security_index(graph, component, cap))
-        except EnumerationCapError as exc:
-            errors.append((component, str(exc)))
-    return IndexReport(graph=graph, results=tuple(results), errors=tuple(errors))
+    return IndexReport(
+        graph=graph,
+        results=tuple(security_index(graph, c, cap) for c in graph.attack_set),
+    )
 
 
 def is_generically_left_invertible(graph: AttackGraph) -> bool:

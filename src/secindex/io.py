@@ -172,8 +172,8 @@ def emit_report(report: IndexReport) -> str:
     """Serialize an index report with stable key order.
 
     Finite indices are integers, infinite ones the string "inf"; the
-    witness key is present only for finite indices.  Byte-stable for a
-    fixed report.
+    witness key is present only for finite indices, and "errors" is
+    always empty.  Byte-stable for a fixed report.
     """
     graph = report.graph
     results: list[dict[str, Any]] = []
@@ -199,10 +199,9 @@ def emit_report(report: IndexReport) -> str:
             {"kind": v.kind, "name": v.name} for v in validate_assumptions(graph)
         ],
         "results": results,
-        "errors": [
-            {"name": graph.name_of(component), "message": message}
-            for component, message in report.errors
-        ],
+        # Always empty: a report is whole or not written.  Schema 1 keeps
+        # the key, so pinned reports and digests stay byte-identical.
+        "errors": [],
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -54,11 +54,6 @@ class Linking:
     def size(self) -> int:
         return len(self.paths)
 
-    @property
-    def saturated(self) -> frozenset[VertexId]:
-        """All vertices lying on some path of this linking."""
-        return frozenset(v for path in self.paths for v in path)
-
 
 class _Dinic:
     """Max-flow over an explicit edge list; forward edges at even indices."""

@@ -10,15 +10,16 @@ normal ranks, and structural indices must match realization indices for
 almost every draw.
 
 Each realization's transfer matrices are built once, stacked over the
-probe frequencies.  Ranks come from one kernel that ranks a stack of
-matrices with a single SVD call, in chunks of at most ``RANK_CHUNK``
-column sets: the generic normal ranks of a batch of column sets take one
-call per realization and set size.  The indices of a realization first
+probe frequencies, by one batched solve.  Ranks come from one kernel that
+ranks a stack of matrices with a single SVD call, in chunks of at most
+``RANK_CHUNK`` column sets: the generic normal ranks of a batch of column
+sets take one call per realization and set size.  The indices of a realization first
 settle every loop and coloop from its zero columns and from the ranks of
 the whole attack set and of each set missing one column, then sweep only
 the remaining core, one subset-size level at a time.  That reduction
 takes the thresholded ranks to be the rank functions of matroids, as
-exact ranks are.
+exact ranks are.  The search is its own, not ``index``'s, so
+``numeric_index_vector`` checks the attack width against its cap itself.
 
 Attack columns are ordered like the graph's attack set: actuators in
 declaration order, then unprotected sensors in declaration order.
@@ -189,21 +190,25 @@ def sample_realization(
     return Realization(W=W, B_a=B_a, C=C, D_a=D_a, seed=seed)
 
 
-def transfer_matrix(realization: Realization, z: complex) -> np.ndarray:
-    """The attack-to-sensor transfer matrix C (zI - W)^-1 B_a + D_a.
+def transfer_matrix(realization: Realization, frequencies: Sequence[complex]) -> np.ndarray:
+    """The attack-to-sensor transfer matrices C (zI - W)^-1 B_a + D_a, (F, m, p).
 
-    Entries without a propagation path are pinned to exact zero: they
-    vanish identically for every parameter value, and leaving the linear
-    solver's rounding noise in them would fake rank.
+    One matrix per frequency z, all from one batched solve.  Entries
+    without a propagation path are pinned to exact zero: they vanish
+    identically for every parameter value, and leaving the linear solver's
+    rounding noise in them would fake rank.
     """
-    n = realization.W.shape[0]
-    shifted = z * np.eye(n) - realization.W
+    n, p = realization.B_a.shape
+    z = np.asarray(frequencies, dtype=complex)
+    shifted = z[:, None, None] * np.eye(n) - realization.W
     try:
-        x = np.linalg.solve(shifted, realization.B_a)
+        # B_a is broadcast explicitly: numpy < 2 would read a 2-D right-hand
+        # side against a stack of matrices as a stack of vectors.
+        x = np.linalg.solve(shifted, np.broadcast_to(realization.B_a, (len(z), n, p)))
     except np.linalg.LinAlgError as exc:
-        raise SingularFrequencyError(f"frequency {z} is an eigenvalue") from exc
+        raise SingularFrequencyError(f"a frequency in {z.tolist()} is an eigenvalue") from exc
     g = realization.C @ x + realization.D_a
-    g[~realization._support] = 0.0
+    g[:, ~realization._support] = 0.0
     return g
 
 
@@ -246,7 +251,7 @@ def transfer_rank(
     cols = _column_tuple(realization.attack_width, columns)
     if not cols:
         return 0
-    return int(_ranks(transfer_matrix(realization, z)[:, cols], tolerance))
+    return int(_ranks(transfer_matrix(realization, (z,))[0][:, cols], tolerance))
 
 
 def _column_tuple(width: int, columns: Iterable[int]) -> tuple[int, ...]:
@@ -264,7 +269,7 @@ def _transfers(realization: Realization, probe: RankProbe, stream: int) -> np.nd
     """
     eigenvalues = np.linalg.eigvals(realization.W)
     rng = None
-    out = []
+    frequencies = []
     for z in probe.frequencies:
         while np.min(np.abs(eigenvalues - z)) < EIGENVALUE_MARGIN:
             if rng is None:
@@ -272,8 +277,8 @@ def _transfers(realization: Realization, probe: RankProbe, stream: int) -> np.nd
             low, high = ANNULUS
             radius = np.sqrt(rng.uniform(low**2, high**2))
             z = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        out.append(transfer_matrix(realization, z))
-    return np.stack(out)
+        frequencies.append(z)
+    return transfer_matrix(realization, frequencies)
 
 
 def generic_normal_rank(

@@ -11,8 +11,10 @@ rank must agree with it set by set.  A realization's indices rank each
 subset with one ``transfer_rank`` call per probe frequency, so the
 library's reduced, level-at-a-time sweep must agree with them exactly;
 ``numeric_witness`` also gives the witness behind each index.  ``rank`` is
-the one-matrix rank rule the stacked kernel must reproduce, and
-``pencil_rank`` checks ``transfer_rank`` through the system pencil.
+the one-matrix rank rule the stacked kernel must reproduce,
+``transfer_matrices`` solves one frequency at a time where the library
+solves them all at once, and ``pencil_rank`` checks ``transfer_rank``
+through the system pencil.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from secindex.index import DEFAULT_SUBSET_CAP, SecurityIndexResult, first_redundant_subset
+from secindex.index import SecurityIndexResult, first_redundant_subset
 from secindex.linking import Linking, _Dinic
 from secindex.model import AttackGraph, StructuredSystem, VertexId
 from secindex.oracle import (
@@ -90,7 +92,7 @@ def security_index(graph: AttackGraph, component: VertexId) -> SecurityIndexResu
         return full == max_linking_size(graph, subset - {component}, graph.targets)
 
     size, positions, examined = first_redundant_subset(
-        len(attack_set), attack_set.index(component), avoidable, DEFAULT_SUBSET_CAP
+        len(attack_set), attack_set.index(component), avoidable
     )
     return SecurityIndexResult(
         component=component,
@@ -132,9 +134,7 @@ def numeric_witness(
     def redundant(positions: tuple[int, ...]) -> bool:
         return ranks(positions) == ranks(tuple(k for k in positions if k != column))
 
-    return first_redundant_subset(
-        realization.attack_width, column, redundant, DEFAULT_SUBSET_CAP
-    )
+    return first_redundant_subset(realization.attack_width, column, redundant)
 
 
 def numeric_index_vector(
@@ -143,6 +143,17 @@ def numeric_index_vector(
     """Realization-level indices, one ``transfer_rank`` call per subset and frequency."""
     wanted = range(realization.attack_width) if columns is None else columns
     return tuple(numeric_witness(realization, probe, c)[0] for c in wanted)
+
+
+def transfer_matrices(realization: Realization, frequencies: Iterable[complex]) -> np.ndarray:
+    """The transfer matrices at ``frequencies``, one solve each, stacked (F, m, p)."""
+    out = []
+    for z in frequencies:
+        x = np.linalg.solve(z * np.eye(realization.W.shape[0]) - realization.W, realization.B_a)
+        g = realization.C @ x + realization.D_a
+        g[~realization._support] = 0.0
+        out.append(g)
+    return np.stack(out)
 
 
 def pencil_rank(

@@ -55,6 +55,14 @@ def test_index_cap_exceeded(capsys):
     assert "cap" in err
 
 
+def test_index_report_cap_exceeded_writes_one_error_line(capsys):
+    code, out, err = run(capsys, "index", "--input", CHAIN, "--cap", "1")
+    assert code == EXIT_DATA_ERROR
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "above the enumeration cap of 1" in err
+
+
 def test_verify_cap_exceeded_fails_before_the_rank_check(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the rank check ran above the cap")

@@ -13,12 +13,14 @@ from secindex.oracle import (
     EIGENVALUE_MARGIN,
     RankProbe,
     Realization,
+    SingularFrequencyError,
     _ranks,
     annulus_frequencies,
     default_probe,
     generic_normal_rank,
     numeric_index_vector,
     sample_realization,
+    transfer_matrix,
     transfer_rank,
 )
 
@@ -122,6 +124,27 @@ def test_transfer_rank_monotone_in_columns(probe):
             rank = transfer_rank(r, range(k), z)
             assert rank >= previous
             previous = rank
+
+
+def test_transfer_rank_at_an_eigenvalue_raises():
+    one = np.ones((1, 1))
+    r = Realization(W=0.5 * one, B_a=one, C=one, D_a=0.0 * one, seed=0)
+    assert transfer_rank(r, [0], 1.5) == 1
+    with pytest.raises(SingularFrequencyError):
+        transfer_rank(r, [0], 0.5)
+
+
+def test_stacked_transfer_matrix_matches_one_solve_per_frequency(
+    chain_system, collider_system
+):
+    systems = [chain_system, collider_system]
+    systems += [random_structured_system(1700 + k) for k in range(12)]
+    frequencies = annulus_frequencies(5, seed=4)
+    for k, system in enumerate(systems):
+        r = sample_realization(system, seed=k)
+        stack = transfer_matrix(r, frequencies)
+        assert stack.shape == (5, system.n_sensors, r.attack_width)
+        assert np.array_equal(stack, reference.transfer_matrices(r, frequencies))
 
 
 def test_rank_tolerance_treats_small_values_as_zero(chain_system):
