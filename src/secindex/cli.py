@@ -57,6 +57,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def _fraction(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
@@ -111,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=50,
         help="realizations for the index agreement check",
     )
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_nonnegative_int, default=0)
     p_verify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE)
     p_verify.add_argument(
         "--freqs", type=_positive_int, default=3, help="probe frequencies per rank test"

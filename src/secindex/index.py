@@ -120,7 +120,7 @@ def security_index(
     """
     attack_set = graph.attack_set
     if component not in attack_set:
-        raise UnknownVertexError(f"not an attackable component: {component}")
+        raise UnknownVertexError(f"not an attackable component: {graph.name_of(component)}")
     if len(attack_set) > cap:
         raise EnumerationCapError(len(attack_set), cap)
 

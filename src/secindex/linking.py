@@ -9,12 +9,18 @@ the maximum linking size.  Dinic's algorithm on unit capacities runs in
 O(E * sqrt(V)), far below the subset enumeration that sits on top of it.
 
 The split network is built once per graph, with a closed (capacity 0)
-super-source and super-sink edge for every vertex; a query opens the edges
-of its sources and targets on a fresh copy of the capacities.  Linking
-sizes are memoized per (sources, targets), since the subset search asks
-for the same source sets many times.  Only the graph queried last keeps
-its network and memo, matched by identity, so memory stays bounded by one
-graph.  That slot is module state: the functions here are not thread-safe.
+super-source and super-sink edge for every vertex.  Linking sizes are
+memoized per (sources, targets), since the subset search asks for the same
+source sets many times.  A size query that misses the memo resumes from the
+maximum flow of the graph's previous miss: it cancels the unit path of each
+source it drops, opens the edges of the sources it adds, and augments from
+there.  The subset search moves between source sets that usually differ in
+a vertex or two, so each miss is a few augmenting paths from its answer.  A
+new target set starts over from the closed network, and
+``find_max_linking`` always starts from a fresh copy of it, so a witness
+depends only on its query.  Only the graph queried last keeps its network,
+flow and memo, matched by identity, so memory stays bounded by one graph.
+That slot is module state: the functions here are not thread-safe.
 
 Determinism: vertices are processed in canonical (kind, ordinal) order and
 adjacency lists keep insertion order, so the extracted witness linking is
@@ -136,7 +142,12 @@ def _check_members(graph: AttackGraph, vertices: Iterable[VertexId], role: str) 
 
 
 class _Flows:
-    """The split network of one graph, its terminal edges closed, and a size memo."""
+    """The split network of one graph, its terminal edges closed, and a size memo.
+
+    ``warm`` holds a maximum flow, as residual capacities, for the sources
+    ``warm_srcs`` and targets ``warm_tgts`` of the last size query that
+    missed the memo; ``warm_size`` is its value.
+    """
 
     def __init__(self, graph: AttackGraph):
         self.order = graph.vertices
@@ -152,15 +163,75 @@ class _Flows:
         self.drain = {v: self.net.add_edge(2 * k + 1, self.sink, 0) for v, k in idx.items()}
         self.template = tuple(self.net.cap)
         self.sizes: dict[tuple[tuple[VertexId, ...], tuple[VertexId, ...]], int] = {}
+        self.warm = list(self.template)
+        self.warm_srcs: tuple[VertexId, ...] = ()
+        self.warm_tgts: tuple[VertexId, ...] = ()
+        self.warm_size = 0
 
     def run(self, srcs: tuple[VertexId, ...], tgts: tuple[VertexId, ...]) -> int:
-        """Max-flow with the edges of ``srcs`` and ``tgts`` opened."""
+        """Max-flow from the closed network with the edges of ``srcs`` and ``tgts`` opened."""
         self.net.cap = cap = list(self.template)
         for v in srcs:
             cap[self.feed[v]] = 1
         for v in tgts:
             cap[self.drain[v]] = 1
         return self.net.max_flow(self.source, self.sink)
+
+    def resume(self, srcs: tuple[VertexId, ...], tgts: tuple[VertexId, ...]) -> int:
+        """Max-flow value for ``srcs`` and ``tgts``, resumed from the warm flow.
+
+        Cancelling the unit path of each dropped source leaves a valid flow
+        for the sources kept, so augmenting from there after opening the
+        added sources reaches a maximum flow.  A new target set starts over
+        from the template.
+        """
+        self.net.cap = cap = self.warm
+        if tgts != self.warm_tgts:
+            cap[:] = self.template
+            for v in tgts:
+                cap[self.drain[v]] = 1
+            self.warm_srcs, self.warm_tgts, self.warm_size = (), tgts, 0
+        kept, before = set(srcs), set(self.warm_srcs)
+        for v in self.warm_srcs:
+            if v in kept:
+                continue
+            e = self.feed[v]
+            if cap[e ^ 1]:
+                for e2 in self.flow_path(v):
+                    cap[e2] += 1
+                    cap[e2 ^ 1] -= 1
+                self.warm_size -= 1
+            cap[e] = 0
+        for v in srcs:
+            if v not in before:
+                cap[self.feed[v]] = 1
+        self.warm_srcs = srcs
+        self.warm_size += self.net.max_flow(self.source, self.sink)
+        return self.warm_size
+
+    def flow_path(self, v: VertexId) -> list[int]:
+        """The flow-carrying edges from the super-source through source ``v`` to the sink.
+
+        Capacities are 0 or 1, so a forward edge carries flow exactly when
+        its reverse edge has residual capacity 1, and unit vertex
+        capacities make the path unique.  It runs feed edge, vertex edge,
+        out edge, ..., vertex edge, drain edge; the vertex edge of vertex k
+        is edge 2k, so the odd positions name the path's vertices.
+        """
+        net = self.net
+        e = self.feed[v]
+        path = [e]
+        node = net.to[e]  # some v_in
+        while node != self.sink:
+            path.append(node)
+            for e2 in net.adj[node + 1]:
+                if e2 % 2 == 0 and net.cap[e2 ^ 1]:
+                    path.append(e2)
+                    node = net.to[e2]
+                    break
+            else:  # pragma: no cover - flow conservation guarantees an exit
+                raise AssertionError("flow walk hit a dead end")
+        return path
 
 
 # The graph queried last and its network.  Holding the graph keeps it alive,
@@ -186,7 +257,7 @@ def max_linking_size(
     flows = _flows_for(graph)
     size = flows.sizes.get((srcs, tgts))
     if size is None:
-        size = flows.sizes[srcs, tgts] = flows.run(srcs, tgts)
+        size = flows.sizes[srcs, tgts] = flows.resume(srcs, tgts)
     return size
 
 
@@ -195,12 +266,11 @@ def find_max_linking(
 ) -> Linking:
     """One maximum linking, as explicit vertex paths.
 
-    The integral flow decomposes into source-to-target paths plus possibly
-    flow cycles; unit vertex capacities make the path through each source
-    unique, and cycles never touch those paths, so a plain walk along
-    saturated edges recovers the linking and drops the cycles.  Capacities
-    are 0 or 1, so a forward edge carries flow exactly when its reverse
-    edge has residual capacity 1.
+    The flow starts cold, not resumed, so the witness depends
+    only on the query.  The integral flow decomposes into source-to-target
+    paths plus possibly flow cycles; cycles never touch the unique path
+    through each source, so a walk along saturated edges from each used
+    source recovers the linking and drops the cycles.
     """
     srcs = _check_members(graph, sources, "source")
     tgts = _check_members(graph, targets, "target")
@@ -208,25 +278,11 @@ def find_max_linking(
         return Linking()
     flows = _flows_for(graph)
     flows.run(srcs, tgts)
-    net = flows.net
-
-    paths = []
-    for v in srcs:
-        e = flows.feed[v]
-        if not net.cap[e ^ 1]:
-            continue  # source not used
-        node = net.to[e]  # some v_in
-        path = []
-        while node != flows.sink:
-            path.append(flows.order[node // 2])
-            out_node = node + 1
-            for e2 in net.adj[out_node]:
-                if e2 % 2 == 0 and net.cap[e2 ^ 1]:
-                    node = net.to[e2]
-                    break
-            else:  # pragma: no cover - flow conservation guarantees an exit
-                raise AssertionError("flow walk hit a dead end")
-        paths.append(path)
+    paths = [
+        [flows.order[e // 2] for e in flows.flow_path(v)[1::2]]
+        for v in srcs
+        if flows.net.cap[flows.feed[v] ^ 1]  # source used
+    ]
     return Linking(paths)
 
 
@@ -241,10 +297,10 @@ def saturated_by_all_max_linkings(
     """
     subset = frozenset(attack_subset)
     if component not in subset:
-        raise ValueError(f"component {component} not in the attack subset")
+        raise ValueError(f"component {graph.name_of(component)} not in the attack subset")
     extra = subset.difference(graph.attack_set)
     if extra:
-        raise ValueError(f"not an attackable component: {sorted(extra)[0]}")
+        raise ValueError(f"not an attackable component: {graph.name_of(min(extra))}")
     with_component = max_linking_size(graph, subset, graph.targets)
     without = max_linking_size(graph, subset - {component}, graph.targets)
     return with_component == without + 1

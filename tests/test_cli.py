@@ -49,6 +49,13 @@ def test_index_unknown_component(capsys):
     assert "u9" in err
 
 
+def test_index_non_attackable_component_is_named(capsys):
+    code, out, err = run(capsys, "index", "--input", CHAIN, "--component", "x1")
+    assert code == EXIT_DATA_ERROR
+    assert out == ""
+    assert err == "error: not an attackable component: x1\n"
+
+
 def test_index_cap_exceeded(capsys):
     code, _, err = run(capsys, "index", "--input", CHAIN, "--component", "u1", "--cap", "1")
     assert code == EXIT_DATA_ERROR
@@ -154,6 +161,14 @@ def test_verify_rejects_zero_trials(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--input", CHAIN, "--trials", "0"])
     assert excinfo.value.code == EXIT_USAGE
+
+
+def test_verify_rejects_negative_seed(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--input", CHAIN, "--seed", "-1"])
+    assert excinfo.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "argument --seed: must be a non-negative integer, got -1" in err
 
 
 def test_missing_input_flag_is_usage_error(capsys):

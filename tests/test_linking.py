@@ -115,6 +115,15 @@ def test_saturation_validates_membership(chain_graph):
         saturated_by_all_max_linkings(g, {u1, g.vertex_named("x1")}, u1)
 
 
+def test_saturation_errors_name_the_vertex(chain_graph):
+    g = chain_graph
+    u1, u2 = g.vertex_named("u1"), g.vertex_named("u2")
+    with pytest.raises(ValueError, match="^component u1 not in the attack subset$"):
+        saturated_by_all_max_linkings(g, {u2}, u1)
+    with pytest.raises(ValueError, match="^not an attackable component: x1$"):
+        saturated_by_all_max_linkings(g, {u1, g.vertex_named("x1")}, u1)
+
+
 def _successor_ordinals(graph):
     return {
         src.ordinal: {dst.ordinal for s, dst in graph.edges if s == src}
@@ -200,3 +209,52 @@ def test_only_the_last_graph_keeps_its_network(chain_system, collider_graph):
     assert max_linking_size(collider_graph, collider_graph.attack_set, collider_graph.targets) == 2
     gc.collect()
     assert a_ref() is None
+
+
+@st.composite
+def query_walks(draw, max_vertices: int = 7, min_steps: int = 30):
+    """A walk of size and witness queries over two graphs with cycles and self-loops.
+
+    Each step toggles up to three sources of the graph in use at once, so
+    sources leave while their paths carry flow, and now and then draws a
+    new target set or moves to the other graph.  Steps are
+    ``(graph, sources, targets, witness_first)``.
+    """
+    graphs = []
+    for _ in range(2):
+        n = draw(st.integers(min_value=2, max_value=max_vertices))
+        cycle = draw(st.integers(min_value=2, max_value=n))
+        arcs = {(k, (k + 1) % cycle) for k in range(cycle)}
+        arcs |= {(k, k) for k in draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))}
+        arcs |= draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+        graphs.append(state_only_graph(n, arcs))
+
+    def terminals(graph):
+        return draw(st.frozensets(st.sampled_from(graph.vertices), min_size=1, max_size=4))
+
+    current = 0
+    sources = [frozenset(), frozenset()]
+    targets = [terminals(g) for g in graphs]
+    steps = []
+    for _ in range(draw(st.integers(min_value=min_steps, max_value=min_steps + 10))):
+        if draw(st.integers(0, 7)) == 0:
+            current = 1 - current
+        graph = graphs[current]
+        if draw(st.integers(0, 3)) == 0:
+            targets[current] = terminals(graph)
+        toggled = draw(st.frozensets(st.sampled_from(graph.vertices), min_size=1, max_size=3))
+        sources[current] ^= toggled
+        steps.append((graph, sources[current], targets[current], draw(st.integers(0, 4)) == 0))
+    return steps
+
+
+@given(query_walks())
+def test_resumed_sizes_match_fresh_network_over_long_query_walks(steps):
+    for graph, sources, targets, witness_first in steps:
+        if witness_first:
+            assert find_max_linking(graph, sources, targets) == reference.find_max_linking(
+                graph, sources, targets
+            )
+        assert max_linking_size(graph, sources, targets) == reference.max_linking_size(
+            graph, sources, targets
+        )
