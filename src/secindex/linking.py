@@ -12,15 +12,15 @@ The split network is built once per graph, with a closed (capacity 0)
 super-source and super-sink edge for every vertex.  Linking sizes are
 memoized per (sources, targets), since the subset search asks for the same
 source sets many times.  A size query that misses the memo resumes from the
-maximum flow of the graph's previous miss: it cancels the unit path of each
-source it drops, opens the edges of the sources it adds, and augments from
-there.  The subset search moves between source sets that usually differ in
-a vertex or two, so each miss is a few augmenting paths from its answer.  A
-new target set starts over from the closed network, and
-``find_max_linking`` always starts from a fresh copy of it, so a witness
-depends only on its query.  Only the graph queried last keeps its network,
-flow and memo, matched by identity, so memory stays bounded by one graph.
-That slot is module state: the functions here are not thread-safe.
+maximum flow the network holds from the graph's previous query: it cancels
+the unit path of each source it drops, opens the edges of the sources it
+adds, and augments from there.  The subset search moves between source
+sets that usually differ in a vertex or two, so each miss is a few
+augmenting paths from its answer.  A new target set starts over from the
+closed network, and ``find_max_linking`` always starts over from it, so a
+witness depends only on its query.  Only the graph queried last keeps its
+network, flow and memo, matched by identity, so memory stays bounded by one
+graph.  That slot is module state: the functions here are not thread-safe.
 
 Determinism: vertices are processed in canonical (kind, ordinal) order and
 adjacency lists keep insertion order, so the extracted witness linking is
@@ -144,9 +144,9 @@ def _check_members(graph: AttackGraph, vertices: Iterable[VertexId], role: str) 
 class _Flows:
     """The split network of one graph, its terminal edges closed, and a size memo.
 
-    ``warm`` holds a maximum flow, as residual capacities, for the sources
-    ``warm_srcs`` and targets ``warm_tgts`` of the last size query that
-    missed the memo; ``warm_size`` is its value.
+    The network's capacities hold a maximum flow, as residual capacities,
+    for the sources ``flow_srcs`` and targets ``flow_tgts`` of the last
+    flow run on it.
     """
 
     def __init__(self, graph: AttackGraph):
@@ -163,36 +163,30 @@ class _Flows:
         self.drain = {v: self.net.add_edge(2 * k + 1, self.sink, 0) for v, k in idx.items()}
         self.template = tuple(self.net.cap)
         self.sizes: dict[tuple[tuple[VertexId, ...], tuple[VertexId, ...]], int] = {}
-        self.warm = list(self.template)
-        self.warm_srcs: tuple[VertexId, ...] = ()
-        self.warm_tgts: tuple[VertexId, ...] = ()
-        self.warm_size = 0
+        self.flow_srcs: tuple[VertexId, ...] = ()
+        self.flow_tgts: tuple[VertexId, ...] = ()
 
-    def run(self, srcs: tuple[VertexId, ...], tgts: tuple[VertexId, ...]) -> int:
-        """Max-flow from the closed network with the edges of ``srcs`` and ``tgts`` opened."""
-        self.net.cap = cap = list(self.template)
-        for v in srcs:
-            cap[self.feed[v]] = 1
+    def reset(self, tgts: tuple[VertexId, ...]) -> None:
+        """Drop the flow and close every terminal edge but the drains of ``tgts``."""
+        cap = self.net.cap
+        cap[:] = self.template
         for v in tgts:
             cap[self.drain[v]] = 1
-        return self.net.max_flow(self.source, self.sink)
+        self.flow_srcs, self.flow_tgts = (), tgts
 
     def resume(self, srcs: tuple[VertexId, ...], tgts: tuple[VertexId, ...]) -> int:
-        """Max-flow value for ``srcs`` and ``tgts``, resumed from the warm flow.
+        """Max-flow value for ``srcs`` and ``tgts``, resumed from the current flow.
 
         Cancelling the unit path of each dropped source leaves a valid flow
         for the sources kept, so augmenting from there after opening the
         added sources reaches a maximum flow.  A new target set starts over
-        from the template.
+        from the closed network.
         """
-        self.net.cap = cap = self.warm
-        if tgts != self.warm_tgts:
-            cap[:] = self.template
-            for v in tgts:
-                cap[self.drain[v]] = 1
-            self.warm_srcs, self.warm_tgts, self.warm_size = (), tgts, 0
-        kept, before = set(srcs), set(self.warm_srcs)
-        for v in self.warm_srcs:
+        if tgts != self.flow_tgts:
+            self.reset(tgts)
+        cap = self.net.cap
+        kept, before = set(srcs), set(self.flow_srcs)
+        for v in self.flow_srcs:
             if v in kept:
                 continue
             e = self.feed[v]
@@ -200,14 +194,13 @@ class _Flows:
                 for e2 in self.flow_path(v):
                     cap[e2] += 1
                     cap[e2 ^ 1] -= 1
-                self.warm_size -= 1
             cap[e] = 0
         for v in srcs:
             if v not in before:
                 cap[self.feed[v]] = 1
-        self.warm_srcs = srcs
-        self.warm_size += self.net.max_flow(self.source, self.sink)
-        return self.warm_size
+        self.flow_srcs = srcs
+        self.net.max_flow(self.source, self.sink)
+        return sum(cap[self.feed[v] ^ 1] for v in srcs)
 
     def flow_path(self, v: VertexId) -> list[int]:
         """The flow-carrying edges from the super-source through source ``v`` to the sink.
@@ -277,7 +270,8 @@ def find_max_linking(
     if not srcs or not tgts:
         return Linking()
     flows = _flows_for(graph)
-    flows.run(srcs, tgts)
+    flows.reset(tgts)
+    flows.resume(srcs, tgts)
     paths = [
         [flows.order[e // 2] for e in flows.flow_path(v)[1::2]]
         for v in srcs
