@@ -221,7 +221,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     probe = default_probe(args.freqs, trials=3, tolerance=args.tol, seed=args.seed)
     # Computed first: it refuses an attack set wider than the cap before any
-    # rank work, and the rank check below finds its memoized linking sizes.
+    # rank work.  The rank check below reuses the graph's network; its
+    # random subsets are mostly not in the size memo, which holds only the
+    # linking sizes the reduced index search asked for.
     structural = tuple(r.index for r in all_indices(graph, cap=args.cap).results)
 
     # Rank/linking agreement, per attack subset.

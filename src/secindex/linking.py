@@ -135,9 +135,9 @@ class _Dinic:
 
 def _check_members(graph: AttackGraph, vertices: Iterable[VertexId], role: str) -> tuple[VertexId, ...]:
     members = tuple(sorted(set(vertices)))
-    for v in members:
-        if v not in graph.vertex_set:
-            raise UnknownVertexError(f"{role} vertex not in graph: {v}")
+    if not graph.vertex_set.issuperset(members):
+        missing = next(v for v in members if v not in graph.vertex_set)
+        raise UnknownVertexError(f"{role} vertex not in graph: {missing}")
     return members
 
 

@@ -1,0 +1,55 @@
+"""Reports on the benchmark catalogs equal the digests pinned from the program.
+
+The documents and the operations come from ``perfbench/generate.py`` and
+``perfbench/workloads.py`` and the digests from ``perfbench/pinned/``; all
+three are only read, so any change to a report, a witness or a
+``subsets_examined`` count on these systems fails here.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_catalog_{name}", BENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+generate = _load("generate")
+workloads = _load("workloads")
+
+
+def pinned(family):
+    return json.loads((BENCH / "pinned" / f"{family}.json").read_text(encoding="utf-8"))
+
+
+def test_index_wide_reports_match_pinned_digests(tmp_path):
+    expected = pinned("index-wide")["digests"]
+    assert len(expected) == generate.FAMILIES["index-wide"]["catalog"] == 40
+    for entry, digest in enumerate(expected):
+        path = tmp_path / f"{entry}.json"
+        path.write_text(generate.document("index-wide", entry), encoding="utf-8")
+        assert workloads.digest(workloads.index_op(str(path))) == digest, entry
+
+
+@pytest.mark.parametrize("name", ["chain", "collider"])
+def test_batch_small_fixture_outputs_match_pinned_digests(name):
+    text = (BENCH.parent / "fixtures" / f"{name}.json").read_text(encoding="utf-8")
+    assert workloads.digest(workloads.batch_op(text).text()) == pinned("batch-small")["fixtures"][name]
+
+
+def test_batch_small_reports_and_dot_match_pinned_digests():
+    expected = pinned("batch-small")["digests"]
+    assert len(expected) == generate.FAMILIES["batch-small"]["catalog"] == 1024
+    for entry, digest in enumerate(expected):
+        out = workloads.batch_op(generate.document("batch-small", entry))
+        workloads.check_linking(out)
+        assert workloads.digest(out.text()) == digest, entry

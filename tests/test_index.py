@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from secindex.index import (
     all_indices,
     first_redundant_subset,
     is_generically_left_invertible,
+    plain_sweep_count,
     security_index,
 )
 from secindex.io import emit_report
@@ -25,7 +27,7 @@ from secindex.model import (
 )
 
 from . import reference
-from .strategies import structured_systems
+from .strategies import structured_systems, systems_with_loops_and_coloops
 
 
 def by_name(graph, report):
@@ -193,6 +195,76 @@ def test_engine_matches_plain_enumeration(data):
         (INFINITE, None, 2 ** (width - 1)),
     )
     assert first_redundant_subset(width, member, accepted.__contains__) == reference
+
+
+@given(st.data())
+def test_plain_sweep_count_matches_the_engine(data):
+    width = data.draw(st.integers(min_value=1, max_value=10))
+    for member in range(width):
+        chosen = data.draw(st.lists(st.booleans(), min_size=width, max_size=width))
+        witness = tuple(k for k in range(width) if chosen[k] or k == member)
+        _, found, examined = first_redundant_subset(width, member, witness.__eq__)
+        assert found == witness
+        assert plain_sweep_count(width, member, witness) == examined
+        _, _, examined = first_redundant_subset(width, member, lambda positions: False)
+        assert plain_sweep_count(width, member, None) == examined == 2 ** (width - 1)
+
+
+def reduced_indices(graph):
+    """``all_indices(graph)``, checking that its sweeps stay in the core.
+
+    The core is the attack components that are neither loops (rank 0
+    alone) nor coloops (the attack set loses rank without them), ranked
+    by the fresh-network reference.
+    """
+    attack_set, targets = graph.attack_set, graph.targets
+    full = reference.max_linking_size(graph, attack_set, targets)
+    core = {
+        v
+        for v in attack_set
+        if reference.max_linking_size(graph, {v}, targets) > 0
+        and reference.max_linking_size(graph, set(attack_set) - {v}, targets) == full
+    }
+    swept = []
+
+    def record(graph, subset, component):
+        swept.append(frozenset(subset))
+        return saturated_by_all_max_linkings(graph, subset, component)
+
+    with mock.patch("secindex.index.saturated_by_all_max_linkings", record):
+        report = all_indices(graph)
+    assert all(subset <= core for subset in swept)
+    return report
+
+
+def assert_matches_plain_sweep(graph):
+    expected = tuple(reference.security_index(graph, c) for c in graph.attack_set)
+    assert reduced_indices(graph).results == expected
+
+
+@given(structured_systems())
+def test_reduced_search_matches_plain_sweep(system):
+    assert_matches_plain_sweep(build_attack_graph(system))
+
+
+@given(systems_with_loops_and_coloops())
+def test_reduced_search_matches_plain_sweep_with_loops_and_coloops(system):
+    assert_matches_plain_sweep(build_attack_graph(system))
+
+
+@pytest.mark.parametrize(
+    "seed, q, indices",
+    [
+        (8, 5, [1, 2, 2, 5, 2, INFINITE, 5, 5, 5]),
+        (5, 6, [1, 5, 5, 2, 2, 1, 5, INFINITE, 5, 5]),
+        (6, 6, [1, 3, 4, 3, 1, 3, 4, INFINITE, 4, INFINITE]),
+    ],
+)
+def test_reduced_search_matches_plain_sweep_on_wide_systems(seed, q, indices):
+    # Widths 9 and 10, with loops, coloops and finite indices of 3 to 5.
+    graph = build_attack_graph(wide_system(seed, q=q, m=5, unprotected=4))
+    assert [r.index for r in all_indices(graph).results] == indices
+    assert_matches_plain_sweep(graph)
 
 
 @given(structured_systems(max_states=4, max_actuators=2, max_sensors=2))
