@@ -1,4 +1,4 @@
-"""Security indices of attackable components, by a reduced subset search.
+"""Security indices of attackable components, by a level sweep of the core.
 
 The index of a component i is the smallest number of components an
 attacker must control so that, for almost every realization of the free
@@ -10,15 +10,17 @@ subset it belongs to, the index is infinite.
 Linking size to the sensors is the rank function of a gammoid on the
 attack set (Perfect 1968; Mason 1972), and a subset S containing i
 qualifies exactly when r(S) = r(S \\ {i}).  The smallest such subsets are
-the smallest circuits through i.  So the search first settles i from a
-few ranks: a coloop lies on no circuit (infinite index), a loop is a
-circuit by itself (index 1).  Otherwise it enumerates only subsets of the
-core, the components that are neither loops nor coloops, since no
-smallest circuit through i holds any other.  Subsets are tried by
-cardinality, lexicographically over attack-set positions, so the
-reported witness is the lexicographically smallest qualifying subset of
-minimal size.  The cost is still combinatorial, which is why
-``security_index`` refuses attack sets wider than its cap.
+the smallest circuits through i.  ``redundancy_sweep`` finds them for any
+matroid rank function given as ranks of whole batches of position sets;
+the numerical oracle runs it over SVD ranks of transfer-matrix columns.
+It first settles each column from a few ranks: a coloop lies on no
+circuit (infinite index), a loop is a circuit by itself (index 1).  Then
+it ranks the core, the columns that are neither loops nor coloops, one
+subset size at a time, since no smallest circuit through a core column
+holds any other column.  Sets of a level are taken lexicographically over
+attack-set positions, so each witness is the lexicographically smallest
+qualifying subset of minimal size.  The cost is still combinatorial,
+which is why the sweep refuses attack sets wider than its cap.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from secindex.linking import max_linking_size, saturated_by_all_max_linkings
+from secindex.linking import max_linking_size
 from secindex.model import AttackGraph, UnknownVertexError, VertexId
 
 DEFAULT_SUBSET_CAP = 20
@@ -80,29 +82,6 @@ class IndexReport:
     results: tuple[SecurityIndexResult, ...]
 
 
-def first_redundant_subset(
-    width: int,
-    member: int,
-    redundant: Callable[[tuple[int, ...]], bool],
-) -> tuple[int | float, tuple[int, ...] | None, int]:
-    """Smallest subset of range(width) containing ``member`` that passes ``redundant``.
-
-    Subsets are tried by size, then lexicographically, and handed to
-    ``redundant`` as sorted position tuples.  Returns ``(size, positions,
-    subsets_examined)``, or ``(INFINITE, None, 2**(width - 1))`` when no
-    subset qualifies.
-    """
-    examined = 0
-    for size in range(1, width + 1):
-        for positions in itertools.combinations(range(width), size):
-            if member not in positions:
-                continue
-            examined += 1
-            if redundant(positions):
-                return size, positions, examined
-    return INFINITE, None, examined
-
-
 def classify_columns(singles, deletions, full):
     """Columns settled by a few ranks, and the core left to search.
 
@@ -116,9 +95,10 @@ def classify_columns(singles, deletions, full):
       is redundant in no subset there, while any other column is
       redundant in A under every function.
     - ``single``: a loop (r({i}) = 0) under every function; index 1.
-    - ``core``: not a loop or a coloop under each function.  Dropping a
-      column outside the core from a redundant subset keeps it redundant,
-      so no smallest one holds such a column.
+    - ``core``: neither a loop nor a coloop under some function.  A column
+      outside the core is a loop or a coloop under each function, so
+      dropping it from a redundant subset keeps it redundant, and no
+      smallest one holds such a column.
     """
     loop = singles == 0
     coloop = deletions < full
@@ -126,13 +106,15 @@ def classify_columns(singles, deletions, full):
 
 
 def plain_sweep_count(width: int, member: int, positions: tuple[int, ...] | None) -> int:
-    """Subsets ``first_redundant_subset(width, member, ...)`` examines to reach ``positions``.
+    """Subsets a plain sweep for ``member`` examines to reach ``positions``.
 
-    ``positions`` is a sorted tuple holding ``member``, or None for a sweep
-    that accepts nothing (2**(width - 1)).  The k-subsets holding
-    ``member`` come after every smaller one, and dropping ``member`` and
-    shifting the later positions down by one maps them, in order, onto
-    the (k - 1)-subsets of range(width - 1) in lexicographic order.
+    The plain sweep tries every subset of range(width) holding ``member``,
+    by size and then lexicographically.  ``positions`` is a sorted tuple
+    holding ``member``, or None for a sweep that accepts nothing
+    (2**(width - 1)).  The k-subsets holding ``member`` come after every
+    smaller one, and dropping ``member`` and shifting the later positions
+    down by one maps them, in order, onto the (k - 1)-subsets of
+    range(width - 1) in lexicographic order.
     """
     if positions is None:
         return 2 ** (width - 1)
@@ -145,89 +127,127 @@ def plain_sweep_count(width: int, member: int, positions: tuple[int, ...] | None
     return smaller + math.comb(n, k) - after
 
 
-# The graph settled last, with its coloop and loop flags and its core
-# positions.  Like ``linking``'s network slot, holding the graph keeps it
-# alive, so a new graph is never mistaken for it, and the slot is module
-# state, not thread-safe.
-_last: tuple[AttackGraph, tuple[list[bool], list[bool], list[int]]] | None = None
+def redundancy_sweep(
+    width: int,
+    rank: Callable[[np.ndarray], np.ndarray],
+    wanted: Sequence[int],
+    cap: int,
+) -> tuple[tuple[int, ...] | None, ...]:
+    """Lexicographically first smallest redundant subset of each ``wanted`` position.
 
-
-def _settled(graph: AttackGraph) -> tuple[list[bool], list[bool], list[int]]:
-    """Coloop and loop flags of the attack set, and the core positions.
-
-    From the linking sizes to the sensors of the whole attack set A, of
-    each A minus one component and of each single component, computed
-    once per graph and classified by ``classify_columns`` with F = 1.
+    ``rank(sets)`` takes N equal-size sets of attack-set positions, one
+    sorted row each of an (N, s) array, and returns their ranks under F
+    matroid rank functions as an (N, F) array.  A subset S holding k is
+    redundant for k when S and S \\ {k} have equal ranks under every
+    function.  The singletons, the whole attack set A and each A \\ {k}
+    are ranked first and classified by ``classify_columns``: a loop's
+    subset is (k,), and a coloop under some function or a column outside
+    the core has none (None).  The core is then ranked one size level at
+    a time from size 2, each set compared with its subsets one member
+    smaller in the level below; a column is resolved at the first level
+    where a set holding it is redundant for it, and its witness is the
+    first such set.  The sweep stops once every wanted core column is
+    resolved.  A column that is a coloop under no function is redundant
+    in the core itself, so one still pending after the last level below
+    the core's size gets the whole core, which is never ranked.  Raises
+    ``EnumerationCapError`` when ``width`` exceeds ``cap``.
     """
-    global _last
-    if _last is None or _last[0] is not graph:
-        attack_set = graph.attack_set
+    if width > cap:
+        raise EnumerationCapError(width, cap)
+    if not wanted:
+        return ()
+    every = np.arange(width)
+    singles = rank(every[:, None])
+    full = rank(every[None, :])
+    rest = np.arange(width - 1)
+    others = rest + (rest >= every[:, None])  # row k: every position but k
+    infinite, single, in_core = classify_columns(singles, rank(others), full)
+    found = {k: (k,) for k in single.nonzero()[0].tolist()}
 
-        def rank(subset: Iterable[VertexId]) -> int:
-            return max_linking_size(graph, subset, graph.targets)
+    core = in_core.nonzero()[0]
+    members = core.tolist()
+    pending = np.zeros(width, dtype=bool)
+    pending[list(wanted)] = True
+    pending = pending[core] & ~infinite[core]
+    below = singles[core]  # the core's level 1
+    row = np.empty(1 << len(core), dtype=np.intp)  # a set's row in its level, by bit mask
+    row[1 << np.arange(len(core))] = np.arange(len(core))
+    for size in range(2, len(core)):
+        if not pending.any():
+            break
+        sets = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(len(core)), size)),
+            dtype=np.intp,
+            count=math.comb(len(core), size) * size,
+        ).reshape(-1, size)
+        bits = 1 << sets
+        masks = bits.sum(axis=1)
+        level = rank(core[sets])
+        # [n, j]: the ranks of set n against those of set n without its j-th member.
+        redundant = (below[row[masks[:, None] - bits]] == level[:, None, :]).all(axis=2)
+        row[masks] = np.arange(len(masks))
+        rows, places = redundant.nonzero()
+        # Rows come in lexicographic order, so a column's first is its witness.
+        resolved, first = np.unique(sets[rows, places], return_index=True)
+        for k, n in zip(resolved.tolist(), rows[first].tolist()):
+            if pending[k]:
+                found[members[k]] = tuple(core[sets[n]].tolist())
+        pending[resolved] = False
+        below = level
+    for k in pending.nonzero()[0].tolist():
+        found[members[k]] = tuple(members)
+    return tuple(found.get(k) for k in wanted)
 
-        full = rank(attack_set)
-        deletions = [rank(attack_set[:k] + attack_set[k + 1 :]) for k in range(len(attack_set))]
-        singles = [rank((v,)) for v in attack_set]
-        infinite, single, in_core = classify_columns(
-            np.array(singles)[:, None], np.array(deletions)[:, None], np.array([full])
-        )
-        _last = (graph, (infinite.tolist(), single.tolist(), np.flatnonzero(in_core).tolist()))
-    return _last[1]
+
+def _linking_ranks(graph: AttackGraph) -> Callable[[np.ndarray], np.ndarray]:
+    """``redundancy_sweep``'s rank: the linking size to the sensors, F = 1."""
+    attack_set, targets = graph.attack_set, graph.targets
+
+    def rank(sets: np.ndarray) -> np.ndarray:
+        sizes = [max_linking_size(graph, [attack_set[k] for k in s], targets) for s in sets.tolist()]
+        return np.array(sizes, dtype=np.intp)[:, None]
+
+    return rank
+
+
+def _result(graph: AttackGraph, member: int, positions: tuple[int, ...] | None) -> SecurityIndexResult:
+    attack_set = graph.attack_set
+    return SecurityIndexResult(
+        component=attack_set[member],
+        index=INFINITE if positions is None else len(positions),
+        witness=None if positions is None else tuple(attack_set[k] for k in positions),
+        subsets_examined=plain_sweep_count(len(attack_set), member, positions),
+    )
 
 
 def security_index(
     graph: AttackGraph, component: VertexId, cap: int = DEFAULT_SUBSET_CAP
 ) -> SecurityIndexResult:
-    """Index of one component: settled by a few ranks, else by a sweep of the core.
+    """Index of one component, by ``redundancy_sweep`` over linking sizes.
 
-    The linking sizes of the whole attack set A, of each A minus one
-    component and of each single component, classified by
-    ``classify_columns`` once per graph, settle a coloop (infinite, no
-    witness) and a loop (index 1, witness the component alone).
-    Otherwise ``first_redundant_subset`` sweeps the core, where a subset
-    qualifies when the component is not saturated by all of its maximum
-    linkings to the sensors.  A dangling actuator, which violates the
-    non-degeneracy assumptions, is a loop and gets index 1.  Raises
-    ``EnumerationCapError`` when the attack set is wider than ``cap``.
+    A coloop of the gammoid gets an infinite index and no witness, and a
+    loop index 1 with the component alone as witness; otherwise the core
+    is swept up to the component's own index.  A dangling actuator, which
+    violates the non-degeneracy assumptions, is a loop and gets index 1.
+    Raises ``EnumerationCapError`` when the attack set is wider than
+    ``cap``.
     """
     attack_set = graph.attack_set
     if component not in attack_set:
         raise UnknownVertexError(f"not an attackable component: {graph.name_of(component)}")
-    width = len(attack_set)
-    if width > cap:
-        raise EnumerationCapError(width, cap)
     member = attack_set.index(component)
-    infinite, single, core = _settled(graph)
-    if infinite[member]:
-        positions = None
-    elif single[member]:
-        positions = (member,)
-    else:
-
-        def avoidable(core_positions: tuple[int, ...]) -> bool:
-            subset = tuple(attack_set[core[k]] for k in core_positions)
-            return not saturated_by_all_max_linkings(graph, subset, component)
-
-        _, found, _ = first_redundant_subset(len(core), core.index(member), avoidable)
-        positions = tuple(core[k] for k in found)
-    return SecurityIndexResult(
-        component=component,
-        index=INFINITE if positions is None else len(positions),
-        witness=None if positions is None else tuple(attack_set[k] for k in positions),
-        subsets_examined=plain_sweep_count(width, member, positions),
-    )
+    (positions,) = redundancy_sweep(len(attack_set), _linking_ranks(graph), (member,), cap)
+    return _result(graph, member, positions)
 
 
 def all_indices(graph: AttackGraph, cap: int = DEFAULT_SUBSET_CAP) -> IndexReport:
-    """Indices for every attackable component, in attack-set order.
+    """Indices for every attackable component, in attack-set order, from one sweep.
 
     Raises ``EnumerationCapError`` when the attack set is wider than ``cap``.
     """
-    return IndexReport(
-        graph=graph,
-        results=tuple(security_index(graph, c, cap) for c in graph.attack_set),
-    )
+    width = len(graph.attack_set)
+    found = redundancy_sweep(width, _linking_ranks(graph), range(width), cap)
+    return IndexReport(graph=graph, results=tuple(_result(graph, k, p) for k, p in enumerate(found)))
 
 
 def is_generically_left_invertible(graph: AttackGraph) -> bool:

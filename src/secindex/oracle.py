@@ -13,13 +13,13 @@ Each realization's transfer matrices are built once, stacked over the
 probe frequencies, by one batched solve.  Ranks come from one kernel that
 ranks a stack of matrices with a single SVD call, in chunks of at most
 ``RANK_CHUNK`` column sets: the generic normal ranks of a batch of column
-sets take one call per realization and set size.  The indices of a realization first
-settle every loop and coloop from its zero columns and from the ranks of
-the whole attack set and of each set missing one column, then sweep only
-the remaining core, one subset-size level at a time.  That reduction
-takes the thresholded ranks to be the rank functions of matroids, as
-exact ranks are.  The search is its own, not ``index``'s, so
-``numeric_index_vector`` checks the attack width against its cap itself.
+sets take one call per realization and set size.  The indices of a
+realization come from ``index.redundancy_sweep``, the structural search's
+engine, run over these ranks in place of linking sizes: it settles every
+loop and coloop from the ranks of single columns, of the whole attack set
+and of each set missing one column, then sweeps only the remaining core,
+one subset-size level at a time.  That reduction takes the thresholded
+ranks to be the rank functions of matroids, as exact ranks are.
 
 Attack columns are ordered like the graph's attack set: actuators in
 declaration order, then unprotected sensors in declaration order.
@@ -27,20 +27,13 @@ declaration order, then unprotected sensors in declaration order.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from secindex.index import (
-    DEFAULT_SUBSET_CAP,
-    INFINITE,
-    EnumerationCapError,
-    classify_columns,
-)
+from secindex.index import DEFAULT_SUBSET_CAP, INFINITE, redundancy_sweep
 from secindex.model import StructuredSystem
 
 # Frequencies closer than this to an eigenvalue of W are treated as
@@ -323,64 +316,22 @@ def numeric_index_vector(
     subset qualifies.
 
     The ranks at each frequency are taken to behave as exact ranks, that
-    is, as the rank function of a matroid on the columns.  Then
-    ``index.classify_columns`` settles loops and coloops from the ranks of
-    the singletons, of the whole attack set and of each set missing one
-    column, and no smallest redundant subset holds a column outside the
-    core it leaves.  The core is swept from size 2 upwards, a whole size
-    level ranked at once, and a column is resolved at the first level where
-    a set holding it has the ranks of that set without it; the sweep stops
-    once every requested column is resolved.  A column that is a coloop
-    under no frequency is redundant in the core itself, so the core's own
-    size is never ranked.  A threshold so coarse that the ranks are no
-    longer those of a matroid can change the result.
+    is, as the rank function of a matroid on the columns, so
+    ``index.redundancy_sweep`` finds the indices from them: it settles
+    loops and coloops from the ranks of the single columns, of the whole
+    attack set and of each set missing one column, then ranks the core
+    left, a whole size level at once, until every requested column is
+    resolved.  A threshold so coarse that the ranks are no longer those of
+    a matroid can change the result.  Raises ``EnumerationCapError`` when
+    the attack set is wider than ``cap``.
     """
     width = realization.attack_width
     wanted = tuple(range(width)) if columns is None else tuple(int(c) for c in columns)
     _column_tuple(width, wanted)  # range check only; the order of ``wanted`` stays
     if not wanted:
         return ()
-    if width > cap:
-        raise EnumerationCapError(width, cap)
-
     transfer = _transfers(realization, probe, stream=realization.seed)
-    every = np.arange(width)
-    # One column has rank 1 exactly when it is nonzero: its one singular
-    # value is its norm.
-    singles = (transfer != 0.0).any(axis=1).T.astype(np.intp)
-    full = _column_ranks(transfer, every[None, :], probe.tolerance)
-    others = np.tile(every, (width, 1))[~np.eye(width, dtype=bool)].reshape(width, width - 1)
-    deletions = _column_ranks(transfer, others, probe.tolerance)
-    infinite, single, in_core = classify_columns(singles, deletions, full)
-    indices: list[int | float] = [1 if s else INFINITE for s in single.tolist()]
-
-    core = np.flatnonzero(in_core)
-    pending = np.zeros(width, dtype=bool)
-    pending[list(wanted)] = True
-    pending = pending[core] & ~infinite[core]
-    below = singles[core]  # the core's level 1
-    row = np.empty(1 << len(core), dtype=np.intp)  # a set's row in its level, by bit mask
-    row[1 << np.arange(len(core))] = np.arange(len(core))
-    for size in range(2, len(core)):
-        if not pending.any():
-            break
-        sets = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(len(core)), size)),
-            dtype=np.intp,
-            count=math.comb(len(core), size) * size,
-        ).reshape(-1, size)
-        bits = 1 << sets
-        masks = bits.sum(axis=1)
-        level = _column_ranks(transfer, core[sets], probe.tolerance)
-        # [n, j]: the ranks of set n against those of set n without its j-th member.
-        redundant = (below[row[masks[:, None] - bits]] == level[:, None, :]).all(axis=2)
-        row[masks] = np.arange(len(masks))
-        resolved = np.zeros(len(core), dtype=bool)
-        resolved[sets[redundant]] = True
-        for k in np.flatnonzero(resolved & pending).tolist():
-            indices[core[k]] = size
-        pending &= ~resolved
-        below = level
-    for k in np.flatnonzero(pending).tolist():
-        indices[core[k]] = len(core)  # redundant in the core itself, being no coloop
-    return tuple(indices[c] for c in wanted)
+    found = redundancy_sweep(
+        width, lambda sets: _column_ranks(transfer, sets, probe.tolerance), wanted, cap
+    )
+    return tuple(INFINITE if positions is None else len(positions) for positions in found)

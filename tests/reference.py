@@ -1,6 +1,10 @@
 """Slow references for the library's fast paths, kept only for tests.
 
-Every linking query builds its own split network from scratch, with
+``first_redundant_subset`` is the plain sweep: it tries every subset
+holding one position, by size and then lexicographically, until one passes
+a test.  ``security_index`` and ``numeric_witness`` run it, so the
+library's level sweep of the core must find the same witnesses.  Every
+linking query builds its own split network from scratch, with
 exactly the super-source and super-sink edges it needs, and runs
 ``_Dinic`` on it.  Nothing is shared between queries, so the library's
 one-network-per-graph path and its size memo must agree with these
@@ -19,11 +23,12 @@ through the system pencil.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import itertools
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from secindex.index import SecurityIndexResult, first_redundant_subset
+from secindex.index import INFINITE, SecurityIndexResult
 from secindex.linking import Linking, _Dinic
 from secindex.model import AttackGraph, StructuredSystem, VertexId
 from secindex.oracle import (
@@ -33,6 +38,29 @@ from secindex.oracle import (
     sample_realization,
     transfer_rank,
 )
+
+
+def first_redundant_subset(
+    width: int,
+    member: int,
+    redundant: Callable[[tuple[int, ...]], bool],
+) -> tuple[int | float, tuple[int, ...] | None, int]:
+    """Smallest subset of range(width) containing ``member`` that passes ``redundant``.
+
+    Subsets are tried by size, then lexicographically, and handed to
+    ``redundant`` as sorted position tuples.  Returns ``(size, positions,
+    subsets_examined)``, or ``(INFINITE, None, 2**(width - 1))`` when no
+    subset qualifies.
+    """
+    examined = 0
+    for size in range(1, width + 1):
+        for positions in itertools.combinations(range(width), size):
+            if member not in positions:
+                continue
+            examined += 1
+            if redundant(positions):
+                return size, positions, examined
+    return INFINITE, None, examined
 
 
 def split_network(

@@ -2,8 +2,8 @@
 
 The documents and the operations come from ``perfbench/generate.py`` and
 ``perfbench/workloads.py`` and the digests from ``perfbench/pinned/``; all
-three are only read, so any change to a report, a witness or a
-``subsets_examined`` count on these systems fails here.
+three are only read, so any change to a report, a verify output, a witness
+or a ``subsets_examined`` count on these systems fails here.
 """
 
 import importlib.util
@@ -38,6 +38,19 @@ def test_index_wide_reports_match_pinned_digests(tmp_path):
         path = tmp_path / f"{entry}.json"
         path.write_text(generate.document("index-wide", entry), encoding="utf-8")
         assert workloads.digest(workloads.index_op(str(path))) == digest, entry
+
+
+def test_verify_mid_outputs_match_pinned_digests(tmp_path):
+    # Every other entry: 30 documents, which still cycle through all three
+    # widths, for half the time of the whole catalog.
+    expected = pinned("verify-mid")["digests"]
+    assert len(expected) == generate.FAMILIES["verify-mid"]["catalog"] == 60
+    entries = range(0, len(expected), 2)
+    assert {generate.width_of("verify-mid", e) for e in entries} == {7, 8, 9}
+    for entry in entries:
+        path = tmp_path / f"{entry}.json"
+        path.write_text(generate.document("verify-mid", entry), encoding="utf-8")
+        assert workloads.digest(workloads.verify_op(str(path))) == expected[entry], entry
 
 
 @pytest.mark.parametrize("name", ["chain", "collider"])

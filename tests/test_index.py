@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -12,13 +13,12 @@ from secindex.index import (
     INFINITE,
     EnumerationCapError,
     all_indices,
-    first_redundant_subset,
     is_generically_left_invertible,
     plain_sweep_count,
     security_index,
 )
 from secindex.io import emit_report
-from secindex.linking import _flows_for, saturated_by_all_max_linkings
+from secindex.linking import _flows_for, max_linking_size, saturated_by_all_max_linkings
 from secindex.model import (
     Sensor,
     StructuredSystem,
@@ -27,6 +27,7 @@ from secindex.model import (
 )
 
 from . import reference
+from .reference import first_redundant_subset
 from .strategies import structured_systems, systems_with_loops_and_coloops
 
 
@@ -210,30 +211,60 @@ def test_plain_sweep_count_matches_the_engine(data):
         assert plain_sweep_count(width, member, None) == examined == 2 ** (width - 1)
 
 
-def reduced_indices(graph):
-    """``all_indices(graph)``, checking that its sweeps stay in the core.
+def reference_core(graph):
+    """The attack components that are neither loops nor coloops, by fresh-network ranks.
 
-    The core is the attack components that are neither loops (rank 0
-    alone) nor coloops (the attack set loses rank without them), ranked
-    by the fresh-network reference.
+    A loop has rank 0 alone; without a coloop the attack set loses rank.
     """
     attack_set, targets = graph.attack_set, graph.targets
     full = reference.max_linking_size(graph, attack_set, targets)
-    core = {
+    return {
         v
         for v in attack_set
         if reference.max_linking_size(graph, {v}, targets) > 0
         and reference.max_linking_size(graph, set(attack_set) - {v}, targets) == full
     }
-    swept = []
 
-    def record(graph, subset, component):
-        swept.append(frozenset(subset))
-        return saturated_by_all_max_linkings(graph, subset, component)
 
-    with mock.patch("secindex.index.saturated_by_all_max_linkings", record):
-        report = all_indices(graph)
+def swept_sets(graph, call):
+    """``call()``'s result and the attack subsets its sweep ranked.
+
+    Every linking size ``index`` asks for is recorded.  The first 2w + 1
+    sets must be the settle step's: each singleton, the attack set A and
+    each A minus one component.  The rest are the sweep's.
+    """
+    ranked = []
+
+    def record(graph, sources, targets):
+        ranked.append(frozenset(sources))
+        return max_linking_size(graph, sources, targets)
+
+    with mock.patch("secindex.index.max_linking_size", record):
+        result = call()
+    attack_set = frozenset(graph.attack_set)
+    settle = [frozenset({v}) for v in attack_set] + [attack_set] + [attack_set - {v} for v in attack_set]
+    settle = settle if attack_set else []
+    assert Counter(ranked[: len(settle)]) == Counter(settle)
+    return result, ranked[len(settle) :]
+
+
+def assert_sweeps_core_levels(swept, core, indices):
+    """The sweep stays in the core and ranks exactly the levels it needs.
+
+    Those are sizes 2 up to the largest of ``indices`` (the wanted core
+    components' indices), or up to one below the core's size, which is
+    never ranked.  So a core of 3 or more members is always swept.
+    """
     assert all(subset <= core for subset in swept)
+    top = min(max(indices, default=0), len(core) - 1)
+    assert {len(subset) for subset in swept} == set(range(2, top + 1))
+
+
+def reduced_indices(graph):
+    """``all_indices(graph)``, checking that its sweep stays in the core."""
+    report, swept = swept_sets(graph, lambda: all_indices(graph))
+    core = reference_core(graph)
+    assert_sweeps_core_levels(swept, core, [r.index for r in report.results if r.component in core])
     return report
 
 
@@ -265,6 +296,18 @@ def test_reduced_search_matches_plain_sweep_on_wide_systems(seed, q, indices):
     graph = build_attack_graph(wide_system(seed, q=q, m=5, unprotected=4))
     assert [r.index for r in all_indices(graph).results] == indices
     assert_matches_plain_sweep(graph)
+
+
+@given(st.one_of(structured_systems(), systems_with_loops_and_coloops()))
+def test_one_component_search_matches_all_indices(system):
+    # ``security_index`` sweeps for its component alone and stops at its index.
+    graph = build_attack_graph(system)
+    report = all_indices(graph)
+    core = reference_core(graph)
+    for component, expected in zip(graph.attack_set, report.results):
+        result, swept = swept_sets(graph, lambda: security_index(graph, component))
+        assert result == expected
+        assert_sweeps_core_levels(swept, core, [result.index] if component in core else [])
 
 
 @given(structured_systems(max_states=4, max_actuators=2, max_sensors=2))
@@ -304,7 +347,9 @@ def test_width_ten_search_matches_fresh_network_reference():
     assert len(graph.attack_set) == 10
     report = all_indices(graph)
     examined = sum(r.subsets_examined for r in report.results)
-    # Two linking queries per subset, so the memo answers most of them.
+    # The sweep ranks each core set at most once, and only up to the largest
+    # index, so far fewer linking sizes reach the memo than a plain sweep
+    # examines subsets.
     assert len(_flows_for(graph).sizes) < examined
     assert {r.index for r in report.results} == {1, 3, INFINITE}
     assert report.results == tuple(reference.security_index(graph, c) for c in graph.attack_set)
