@@ -183,9 +183,8 @@ def _cmd_linking(args: argparse.Namespace) -> int:
         if args.targets is not None
         else list(graph.targets)
     )
-    size = max_linking_size(graph, sources, targets)
     linking = find_max_linking(graph, sources, targets)
-    lines = [f"maximum linking size: {size}"]
+    lines = [f"maximum linking size: {linking.size}"]
     for path in linking.paths:
         lines.append("path: " + " -> ".join(graph.name_of(v) for v in path))
     _write("\n".join(lines) + "\n", args.output)

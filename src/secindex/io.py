@@ -74,6 +74,8 @@ def parse_system(text: str) -> StructuredSystem:
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaVersionError(f"unsupported schema_version {version!r}")
+    if not isinstance(raw.get("description", ""), str):
+        raise MalformedFieldError("'description' must be a string")
 
     states = _name_list(raw, "states")
     actuators = _name_list(raw, "actuators", required=False)

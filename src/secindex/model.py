@@ -362,13 +362,8 @@ def random_structured_system(
     max_states: int = 8,
     max_actuators: int = 3,
     max_sensors: int = 3,
-    ensure_assumptions: bool = False,
 ) -> StructuredSystem:
-    """Sample a random sparsity pattern, for validation sweeps and tests.
-
-    With ``ensure_assumptions`` the pattern is repaired so that every
-    actuator drives a state and every state reaches a sensor.
-    """
+    """Sample a random sparsity pattern, for validation sweeps and tests."""
     rng = random.Random(seed)
     n = rng.randint(2, max_states)
     q = rng.randint(1, max_actuators)
@@ -387,17 +382,6 @@ def random_structured_system(
     c_edges = {
         (x, s.name) for x in states for s in sensors if rng.random() < min(1.0, 1.4 / n)
     }
-
-    if ensure_assumptions:
-        for u in actuators:
-            if not any(src == u for src, _ in b_edges):
-                b_edges.add((u, rng.choice(states)))
-        # A direct sensor edge is the cheapest repair for unobserved states.
-        # Violations come in state order, which keeps the random draws fixed.
-        provisional = StructuredSystem(states, actuators, sensors, w_edges, b_edges, c_edges)
-        for violation in validate_assumptions(build_attack_graph(provisional)):
-            if violation.kind == "state-unobserved":
-                c_edges.add((violation.name, rng.choice(sensors).name))
 
     return StructuredSystem(
         states=states,

@@ -49,6 +49,9 @@ ANNULUS = (1.5, 2.5)
 # Column sets ranked per SVD call; bounds the memory of the stacked copy.
 RANK_CHUNK = 1024
 
+# Range of the magnitude of every sampled free parameter.
+MAGNITUDES = (0.5, 1.5)
+
 
 class SingularFrequencyError(ArithmeticError):
     """The probe frequency coincides with an eigenvalue of the dynamics."""
@@ -144,20 +147,17 @@ def default_probe(
     )
 
 
-def sample_realization(
-    system: StructuredSystem, seed: int, low: float = 0.5, high: float = 1.5
-) -> Realization:
+def sample_realization(system: StructuredSystem, seed: int) -> Realization:
     """Assign random values to every free parameter of the pattern.
 
-    Magnitudes are uniform on [low, high] with random sign: bounded away
+    Magnitudes are uniform on ``MAGNITUDES`` with random sign: bounded away
     from zero so the draw stays on the pattern, and from large values so
     the rank computations stay well conditioned.  Fixed zeros remain
     exactly zero; dedicated attack entries are exactly 1.  Deterministic
     in ``seed``.
     """
-    if not 0.0 < low < high:
-        raise ValueError(f"need 0 < low < high, got low={low}, high={high}")
     rng = np.random.default_rng(seed)
+    low, high = MAGNITUDES
 
     def draw() -> float:
         magnitude = rng.uniform(low, high)
@@ -302,12 +302,9 @@ def generic_normal_rank(
 
 
 def numeric_index_vector(
-    realization: Realization,
-    probe: RankProbe,
-    cap: int = DEFAULT_SUBSET_CAP,
-    columns: Sequence[int] | None = None,
+    realization: Realization, probe: RankProbe, cap: int = DEFAULT_SUBSET_CAP
 ) -> tuple[int | float, ...]:
-    """Realization-level indices of ``columns`` (default: all), sharing rank work.
+    """Realization-level index of every attack column, sharing rank work.
 
     A column's index is the smallest subset size for which it is
     rationally redundant: dropping it leaves the transfer-matrix rank
@@ -320,18 +317,16 @@ def numeric_index_vector(
     ``index.redundancy_sweep`` finds the indices from them: it settles
     loops and coloops from the ranks of the single columns, of the whole
     attack set and of each set missing one column, then ranks the core
-    left, a whole size level at once, until every requested column is
-    resolved.  A threshold so coarse that the ranks are no longer those of
-    a matroid can change the result.  Raises ``EnumerationCapError`` when
-    the attack set is wider than ``cap``.
+    left, a whole size level at once, until every column is resolved.  A
+    threshold so coarse that the ranks are no longer those of a matroid
+    can change the result.  Raises ``EnumerationCapError`` when the attack
+    set is wider than ``cap``.
     """
     width = realization.attack_width
-    wanted = tuple(range(width)) if columns is None else tuple(int(c) for c in columns)
-    _column_tuple(width, wanted)  # range check only; the order of ``wanted`` stays
-    if not wanted:
+    if not width:
         return ()
     transfer = _transfers(realization, probe, stream=realization.seed)
     found = redundancy_sweep(
-        width, lambda sets: _column_ranks(transfer, sets, probe.tolerance), wanted, cap
+        width, lambda sets: _column_ranks(transfer, sets, probe.tolerance), range(width), cap
     )
     return tuple(INFINITE if positions is None else len(positions) for positions in found)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from secindex import linking
 from secindex.cli import (
     EXIT_DATA_ERROR,
     EXIT_OK,
@@ -130,6 +131,21 @@ def test_linking_explicit_targets(capsys):
     assert out.splitlines()[0] == "maximum linking size: 1"
 
 
+def test_linking_runs_one_max_flow(capsys, monkeypatch):
+    resumes = []
+    resume = linking._Flows.resume
+
+    def counted(self, srcs, tgts):
+        resumes.append(srcs)
+        return resume(self, srcs, tgts)
+
+    monkeypatch.setattr(linking._Flows, "resume", counted)
+    code, out, _ = run(capsys, "linking", "--input", COLLIDER, "--sources", "u1,u2,u3")
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == "maximum linking size: 2"
+    assert len(resumes) == 1
+
+
 def test_linking_unknown_name(capsys):
     code, _, err = run(capsys, "linking", "--input", CHAIN, "--sources", "u1,ghost")
     assert code == EXIT_DATA_ERROR
@@ -169,6 +185,18 @@ def test_verify_rejects_negative_seed(capsys):
     assert excinfo.value.code == EXIT_USAGE
     err = capsys.readouterr().err
     assert "argument --seed: must be a non-negative integer, got -1" in err
+
+
+def test_non_string_description_is_one_error_line(tmp_path, capsys):
+    doc = json.loads(Path(CHAIN).read_text())
+    doc["description"] = 5
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["index"], ["verify"], ["linking", "--sources", "u1"], ["export-dot"]):
+        code, out, err = run(capsys, argv[0], "--input", str(path), *argv[1:])
+        assert code == EXIT_DATA_ERROR
+        assert out == ""
+        assert err == "error: 'description' must be a string\n"
 
 
 def test_missing_input_flag_is_usage_error(capsys):

@@ -191,6 +191,7 @@ def test_schema_version_checked():
         lambda d: d["sensors"][0].__setitem__("protected", "yes"),
         lambda d: d.__setitem__("edges", {"state_to_state": [["x1"]]}),
         lambda d: d.__setitem__("edges", {"state_to_state": "x1,x1"}),
+        lambda d: d.__setitem__("description", 5),
     ],
 )
 def test_malformed_fields_rejected(mutate):

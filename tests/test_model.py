@@ -166,8 +166,6 @@ def test_attack_set_ordering_actuators_then_sensors(system):
 
 def test_random_structured_system_is_deterministic():
     assert random_structured_system(42) == random_structured_system(42)
-    repaired = random_structured_system(42, ensure_assumptions=True)
-    assert validate_assumptions(build_attack_graph(repaired)) == []
 
 
 def test_attack_graph_rejects_foreign_edges():
