@@ -30,6 +30,7 @@ from secindex.oracle import (
     default_probe,
     generic_normal_rank,
     numeric_index_vector,
+    numeric_index_vectors,
     sample_realization,
     transfer_rank,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "is_generically_left_invertible",
     "max_linking_size",
     "numeric_index_vector",
+    "numeric_index_vectors",
     "random_structured_system",
     "sample_realization",
     "saturated_by_all_max_linkings",

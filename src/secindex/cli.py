@@ -37,8 +37,7 @@ from secindex.oracle import (
     DEFAULT_TOLERANCE,
     default_probe,
     generic_normal_rank,
-    numeric_index_vector,
-    sample_realization,
+    numeric_index_vectors,
 )
 
 EXIT_OK = 0
@@ -205,6 +204,15 @@ def _rank_check_subsets(width: int, seed: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _gray_rank(positions: tuple[int, ...]) -> int:
+    """Rank of a subset's bit mask in the reflected binary Gray code."""
+    mask, rank = sum(1 << k for k in positions), 0
+    while mask:
+        rank ^= mask
+        mask >>= 1
+    return rank
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     system, graph = _load(args.input)
     width = len(graph.attack_set)
@@ -228,10 +236,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # Rank/linking agreement, per attack subset.
     subsets = _rank_check_subsets(width, args.seed)
     ranks = generic_normal_rank(system, subsets, probe)
-    rank_hits = sum(
-        rank == max_linking_size(graph, [graph.attack_set[k] for k in positions], graph.targets)
-        for positions, rank in zip(subsets, ranks)
-    )
+    # Linking sizes are asked in Gray-code order of the subsets, so each
+    # warm-started flow adds or drops few sources, and kept in input order.
+    sizes = [0] * len(subsets)
+    for n in sorted(range(len(subsets)), key=lambda n: _gray_rank(subsets[n])):
+        sources = [graph.attack_set[k] for k in subsets[n]]
+        sizes[n] = max_linking_size(graph, sources, graph.targets)
+    rank_hits = sum(rank == size for rank, size in zip(ranks, sizes))
     rank_rate = rank_hits / len(subsets)
     lines.append(f"rank/linking agreement: {rank_hits}/{len(subsets)} subsets ({rank_rate:.2%})")
 
@@ -239,9 +250,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     pair_hits = 0
     vector_hits = 0
     total_pairs = width * args.trials
-    for trial in range(args.trials):
-        realization = sample_realization(system, seed=args.seed + 1000 + trial)
-        numeric = numeric_index_vector(realization, probe, cap=args.cap)
+    seeds = [args.seed + 1000 + trial for trial in range(args.trials)]
+    for numeric in numeric_index_vectors(system, seeds, probe, cap=args.cap):
         hits = sum(1 for a, b in zip(numeric, structural) if a == b)
         pair_hits += hits
         vector_hits += hits == width

@@ -11,8 +11,10 @@ Linking size to the sensors is the rank function of a gammoid on the
 attack set (Perfect 1968; Mason 1972), and a subset S containing i
 qualifies exactly when r(S) = r(S \\ {i}).  The smallest such subsets are
 the smallest circuits through i.  ``redundancy_sweep`` finds them for any
-matroid rank function given as ranks of whole batches of position sets;
-the numerical oracle runs it over SVD ranks of transfer-matrix columns.
+matroid rank function given as ranks of whole batches of position sets,
+and for several independent groups of rank functions at once; the
+numerical oracle runs it over SVD ranks of transfer-matrix columns, one
+group per realization.
 It first settles each column from a few ranks: a coloop lies on no
 circuit (infinite index), a loop is a circuit by itself (index 1).  Then
 it ranks the core, the columns that are neither loops nor coloops, one
@@ -36,6 +38,10 @@ from secindex.linking import max_linking_size
 from secindex.model import AttackGraph, UnknownVertexError, VertexId
 
 DEFAULT_SUBSET_CAP = 20
+
+# Sets of a level compared with their subsets per step, times the rank
+# functions of all groups; bounds the memory of the comparison.
+COMPARE_CHUNK = 1 << 14
 
 INFINITE = math.inf
 
@@ -85,11 +91,13 @@ class IndexReport:
 def classify_columns(singles, deletions, full):
     """Columns settled by a few ranks, and the core left to search.
 
-    ``singles[i, f]``, ``deletions[i, f]`` and ``full[f]`` are the ranks of
-    {i}, of A \\ {i} and of the whole attack set A under F rank functions
-    (F probe frequencies; F = 1 for the linking size), as numpy arrays of
-    shape (w, F), (w, F) and (1, F) or (F,).  Returns three boolean masks
-    of length w, for rank functions of matroids:
+    ``singles[i, ..., f]``, ``deletions[i, ..., f]`` and ``full[..., f]``
+    are the ranks of {i}, of A \\ {i} and of the whole attack set A under
+    F rank functions (F probe frequencies; F = 1 for the linking size), as
+    numpy arrays whose last axis runs over the functions and whose middle
+    axes, if any, over independent groups of functions (realizations):
+    shapes (w, ..., F), (w, ..., F) and (1, ..., F) or (..., F).  Returns
+    three boolean masks of shape (w, ...), for rank functions of matroids:
 
     - ``infinite``: a coloop (r(A \\ {i}) < r(A)) under some function.  It
       is redundant in no subset there, while any other column is
@@ -102,7 +110,7 @@ def classify_columns(singles, deletions, full):
     """
     loop = singles == 0
     coloop = deletions < full
-    return coloop.any(axis=1), loop.all(axis=1), ~(loop | coloop).all(axis=1)
+    return coloop.any(axis=-1), loop.all(axis=-1), ~(loop | coloop).all(axis=-1)
 
 
 def plain_sweep_count(width: int, member: int, positions: tuple[int, ...] | None) -> int:
@@ -132,44 +140,79 @@ def redundancy_sweep(
     rank: Callable[[np.ndarray], np.ndarray],
     wanted: Sequence[int],
     cap: int,
-) -> tuple[tuple[int, ...] | None, ...]:
-    """Lexicographically first smallest redundant subset of each ``wanted`` position.
+) -> tuple[tuple[tuple[int, ...] | None, ...], ...]:
+    """Lexicographically first smallest redundant subset of each ``wanted`` position, per group.
 
     ``rank(sets)`` takes N equal-size sets of attack-set positions, one
-    sorted row each of an (N, s) array, and returns their ranks under F
-    matroid rank functions as an (N, F) array.  A subset S holding k is
-    redundant for k when S and S \\ {k} have equal ranks under every
-    function.  The singletons, the whole attack set A and each A \\ {k}
-    are ranked first and classified by ``classify_columns``: a loop's
-    subset is (k,), and a coloop under some function or a column outside
-    the core has none (None).  The core is then ranked one size level at
-    a time from size 2, each set compared with its subsets one member
-    smaller in the level below; a column is resolved at the first level
-    where a set holding it is redundant for it, and its witness is the
-    first such set.  The sweep stops once every wanted core column is
-    resolved.  A column that is a coloop under no function is redundant
-    in the core itself, so one still pending after the last level below
-    the core's size gets the whole core, which is never ranked.  Raises
-    ``EnumerationCapError`` when ``width`` exceeds ``cap``.
+    sorted row each of an (N, s) array, and returns their ranks as an
+    (N, G, F) array: G independent groups (realizations; G = 1 for the
+    linking size) of F matroid rank functions each.  Each group gets its
+    own answer, one entry per ``wanted`` position, as if swept alone.  A
+    subset S holding k is redundant for k in a group when S and S \\ {k}
+    have equal ranks under each of its functions.  The singletons, the
+    whole attack set A and each A \\ {k} are ranked first and classified
+    by ``classify_columns``: a loop's subset is (k,), and a coloop under
+    some function or a column outside the core has none (None).  The
+    union of the groups' cores is then ranked one size level at a time
+    from size 2, each set compared with its subsets one member smaller in
+    the level below.  A group takes only sets inside its own core: a
+    column is resolved at the first level where such a set holding it is
+    redundant for it, and its witness is the first such set.  The sweep
+    stops once every group has resolved every wanted core column.  A
+    column that is a coloop under none of its group's functions is
+    redundant in that group's core itself, so one still pending after the
+    last level gets its group's whole core.  These rules give each group
+    the answer of a sweep of its own core, even when its ranks are not
+    those of a matroid.  A lone sweep stops below its core's size and
+    gives a column still pending the whole core; at that size and above,
+    the only set inside the core is the core itself, so the union's
+    longer sweep gives the same.  Raises ``EnumerationCapError`` when
+    ``width`` exceeds ``cap``.
     """
     if width > cap:
         raise EnumerationCapError(width, cap)
-    if not wanted:
-        return ()
     every = np.arange(width)
     singles = rank(every[:, None])
+    groups = singles.shape[1]
+    if not wanted:
+        return ((),) * groups
     full = rank(every[None, :])
     rest = np.arange(width - 1)
     others = rest + (rest >= every[:, None])  # row k: every position but k
     infinite, single, in_core = classify_columns(singles, rank(others), full)
-    found = {k: (k,) for k in single.nonzero()[0].tolist()}
+    found: list[list[tuple[int, ...] | None]] = [[None] * width for _ in range(groups)]
+    for k, g in zip(*(axis.tolist() for axis in single.nonzero())):
+        found[g][k] = (k,)
 
-    core = in_core.nonzero()[0]
+    core = in_core.any(axis=1).nonzero()[0]
+    if len(core):
+        _sweep_core(rank, core, in_core[core], infinite[core], singles[core], wanted, found)
+    return tuple(tuple(answers[k] for k in wanted) for answers in found)
+
+
+def _sweep_core(
+    rank: Callable[[np.ndarray], np.ndarray],
+    core: np.ndarray,
+    own: np.ndarray,
+    infinite: np.ndarray,
+    singles: np.ndarray,
+    wanted: Sequence[int],
+    found: list[list[tuple[int, ...] | None]],
+) -> None:
+    """``redundancy_sweep``'s level sweep of the union ``core`` of the groups' cores.
+
+    ``own[c, g]`` tells whether core column c is in group g's own core,
+    ``infinite`` and ``singles`` are the core's rows of the settle step,
+    and each witness found is stored as ``found[g][position]``.
+    """
+    groups = own.shape[1]
     members = core.tolist()
-    pending = np.zeros(width, dtype=bool)
-    pending[list(wanted)] = True
-    pending = pending[core] & ~infinite[core]
-    below = singles[core]  # the core's level 1
+    shared = own.all()  # every group's core is the union, as with G = 1
+    step = max(1, COMPARE_CHUNK // singles[0].size)  # singles[0] is (G, F)
+    # [c * G + g]: core column c is still to resolve in group g.
+    asked = np.array([k in wanted for k in members], dtype=bool)
+    pending = (own & ~infinite & asked[:, None]).ravel()
+    below = singles  # the core's level 1
     row = np.empty(1 << len(core), dtype=np.intp)  # a set's row in its level, by bit mask
     row[1 << np.arange(len(core))] = np.arange(len(core))
     for size in range(2, len(core)):
@@ -183,29 +226,40 @@ def redundancy_sweep(
         bits = 1 << sets
         masks = bits.sum(axis=1)
         level = rank(core[sets])
-        # [n, j]: the ranks of set n against those of set n without its j-th member.
-        redundant = (below[row[masks[:, None] - bits]] == level[:, None, :]).all(axis=2)
+        # [n, j, g]: under group g, the ranks of set n equal those of set n
+        # without its j-th member.
+        redundant = np.empty((len(sets), size, groups), dtype=bool)
+        for start in range(0, len(sets), step):
+            part = slice(start, start + step)
+            lower = below[row[masks[part, None] - bits[part]]]
+            redundant[part] = (lower == level[part, None]).all(axis=3)
+        if not shared:
+            redundant &= own[sets].all(axis=1)[:, None, :]
         row[masks] = np.arange(len(masks))
-        rows, places = redundant.nonzero()
-        # Rows come in lexicographic order, so a column's first is its witness.
-        resolved, first = np.unique(sets[rows, places], return_index=True)
-        for k, n in zip(resolved.tolist(), rows[first].tolist()):
-            if pending[k]:
-                found[members[k]] = tuple(core[sets[n]].tolist())
-        pending[resolved] = False
+        rows, places, owners = redundant.nonzero()
+        keys = sets[rows, places] * groups + owners
+        # Rows come in lexicographic order, so the first row redundant for
+        # a column in a group is its witness there.
+        first = np.full(len(pending), len(sets))
+        np.minimum.at(first, keys, rows)
+        hits = (pending & (first < len(sets))).nonzero()[0]
+        for key, n in zip(hits.tolist(), first[hits].tolist()):
+            k, g = divmod(key, groups)
+            found[g][members[k]] = tuple(core[sets[n]].tolist())
+        pending[keys] = False
         below = level
-    for k in pending.nonzero()[0].tolist():
-        found[members[k]] = tuple(members)
-    return tuple(found.get(k) for k in wanted)
+    for key in pending.nonzero()[0].tolist():
+        k, g = divmod(key, groups)
+        found[g][members[k]] = tuple(core[own[:, g]].tolist())
 
 
 def _linking_ranks(graph: AttackGraph) -> Callable[[np.ndarray], np.ndarray]:
-    """``redundancy_sweep``'s rank: the linking size to the sensors, F = 1."""
+    """``redundancy_sweep``'s rank: the linking size to the sensors, G = F = 1."""
     attack_set, targets = graph.attack_set, graph.targets
 
     def rank(sets: np.ndarray) -> np.ndarray:
         sizes = [max_linking_size(graph, [attack_set[k] for k in s], targets) for s in sets.tolist()]
-        return np.array(sizes, dtype=np.intp)[:, None]
+        return np.array(sizes, dtype=np.intp).reshape(len(sizes), 1, 1)
 
     return rank
 
@@ -236,7 +290,7 @@ def security_index(
     if component not in attack_set:
         raise UnknownVertexError(f"not an attackable component: {graph.name_of(component)}")
     member = attack_set.index(component)
-    (positions,) = redundancy_sweep(len(attack_set), _linking_ranks(graph), (member,), cap)
+    ((positions,),) = redundancy_sweep(len(attack_set), _linking_ranks(graph), (member,), cap)
     return _result(graph, member, positions)
 
 
@@ -246,7 +300,7 @@ def all_indices(graph: AttackGraph, cap: int = DEFAULT_SUBSET_CAP) -> IndexRepor
     Raises ``EnumerationCapError`` when the attack set is wider than ``cap``.
     """
     width = len(graph.attack_set)
-    found = redundancy_sweep(width, _linking_ranks(graph), range(width), cap)
+    (found,) = redundancy_sweep(width, _linking_ranks(graph), range(width), cap)
     return IndexReport(graph=graph, results=tuple(_result(graph, k, p) for k, p in enumerate(found)))
 
 

@@ -9,17 +9,22 @@ cross-validate the graph-theoretic path: linking sizes must match generic
 normal ranks, and structural indices must match realization indices for
 almost every draw.
 
-Each realization's transfer matrices are built once, stacked over the
-probe frequencies, by one batched solve.  Ranks come from one kernel that
-ranks a stack of matrices with a single SVD call, in chunks of at most
-``RANK_CHUNK`` column sets: the generic normal ranks of a batch of column
-sets take one call per realization and set size.  The indices of a
-realization come from ``index.redundancy_sweep``, the structural search's
-engine, run over these ranks in place of linking sizes: it settles every
-loop and coloop from the ranks of single columns, of the whole attack set
-and of each set missing one column, then sweeps only the remaining core,
-one subset-size level at a time.  That reduction takes the thresholded
-ranks to be the rank functions of matroids, as exact ranks are.
+Realizations of one pattern are handled as a stack: drawn with one
+generator call per seed, checked against their spectra with one
+eigenvalue call, and solved at every probe frequency with one batched
+solve.  Ranks come from one kernel that ranks a stack of matrices with a
+single SVD call, in chunks of at most ``RANK_CHUNK`` matrices: the
+generic normal ranks of a batch of column sets take one call per set size
+and chunk for all the probe's realizations.  Index vectors come from ``index.redundancy_sweep``,
+the structural search's engine, run over these ranks in place of linking
+sizes, with one group per realization: it settles every loop and coloop
+from the ranks of single columns, of the whole attack set and of each set
+missing one column, then sweeps only the remaining core, one
+subset-size level at a time, each level ranked under every realization
+at once.  ``numeric_index_vector`` is the one-realization case and
+``numeric_index_vectors`` the batched one.  That reduction takes the
+thresholded ranks to be the rank functions of matroids, as exact ranks
+are.
 
 Attack columns are ordered like the graph's attack set: actuators in
 declaration order, then unprotected sensors in declaration order.
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,7 +51,8 @@ DEFAULT_TOLERANCE = 1e-9
 # sampled dynamics.
 ANNULUS = (1.5, 2.5)
 
-# Column sets ranked per SVD call; bounds the memory of the stacked copy.
+# Matrices ranked per SVD call (at least one set's worth); bounds the
+# memory of the stacked copy.
 RANK_CHUNK = 1024
 
 # Range of the magnitude of every sampled free parameter.
@@ -81,26 +87,57 @@ class Realization:
 
     @cached_property
     def _support(self) -> np.ndarray:
-        """Boolean mask of transfer entries that can be nonzero at all.
+        return _support_mask(self.W, self.B_a, self.C, self.D_a)
 
-        Entry (sensor, column) is structurally nonzero iff the component has
-        a directed propagation path to the sensor (or a dedicated
-        feedthrough).  Everything else is an exact zero of every realization.
-        """
-        arrives = (self.W != 0.0).astype(np.int64)  # arrives[j, i]: state i to j
-        n = arrives.shape[0]
-        closure = np.eye(n, dtype=bool)
-        for _ in range(n):
-            extended = closure | (arrives @ closure.astype(np.int64) > 0)
-            if (extended == closure).all():
-                break
-            closure = extended
-        reads = (self.C != 0.0).astype(np.int64)
-        drives = (self.B_a != 0.0).astype(np.int64)
-        through_states = (reads @ closure.astype(np.int64) @ drives) > 0
-        mask = through_states | (self.D_a != 0.0)
-        mask.flags.writeable = False
-        return mask
+
+def _support_mask(W: np.ndarray, B_a: np.ndarray, C: np.ndarray, D_a: np.ndarray) -> np.ndarray:
+    """Boolean mask of transfer entries that can be nonzero at all, (m, p).
+
+    Entry (sensor, column) is structurally nonzero iff the component has
+    a directed propagation path to the sensor (or a dedicated
+    feedthrough).  Everything else is an exact zero of every realization
+    with the same nonzero pattern.
+    """
+    arrives = (W != 0.0).astype(np.int64)  # arrives[j, i]: state i to j
+    n = arrives.shape[0]
+    closure = np.eye(n, dtype=bool)
+    for _ in range(n):
+        extended = closure | (arrives @ closure.astype(np.int64) > 0)
+        if (extended == closure).all():
+            break
+        closure = extended
+    reads = (C != 0.0).astype(np.int64)
+    drives = (B_a != 0.0).astype(np.int64)
+    through_states = (reads @ closure.astype(np.int64) @ drives) > 0
+    mask = through_states | (D_a != 0.0)
+    mask.flags.writeable = False
+    return mask
+
+
+class _Stack(NamedTuple):
+    """R realizations of one pattern, stacked on a leading axis.
+
+    ``W`` is (R, n, n), ``B_a`` (R, n, p) and ``C`` (R, m, n).  ``D_a``
+    and the transfer ``support`` are (m, p), shared by every realization,
+    since the draws of a pattern all have its nonzeros.
+    """
+
+    W: np.ndarray
+    B_a: np.ndarray
+    C: np.ndarray
+    D_a: np.ndarray
+    support: np.ndarray
+
+    @classmethod
+    def drawn(cls, system: StructuredSystem, seeds: Sequence[int]) -> "_Stack":
+        """The realizations ``sample_realization`` draws for ``seeds``, at least one."""
+        W, B_a, C, D_a = _parameters(system, seeds)
+        return cls(W, B_a, C, D_a, _support_mask(W[0], B_a[0], C[0], D_a))
+
+    @classmethod
+    def of(cls, r: Realization) -> "_Stack":
+        """One realization as a stack of one."""
+        return cls(r.W[None], r.B_a[None], r.C[None], r.D_a, r._support)
 
 
 @dataclass(frozen=True)
@@ -147,6 +184,46 @@ def default_probe(
     )
 
 
+def _parameters(
+    system: StructuredSystem, seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """W, B_a and C stacked over ``seeds``, (R, ...) each, and the shared D_a.
+
+    Free parameters are taken in the order of the sorted W edges, then
+    the sorted b edges, then the sorted c edges.  Each seed's generator
+    yields two doubles per parameter, in that order: the first sets the
+    magnitude (``rng.uniform`` on ``MAGNITUDES`` consumes one double the
+    same way), the second the sign, negative when it is at least 0.5.
+    """
+    n, q, m = system.n_states, system.n_actuators, system.n_sensors
+    unprotected = system.unprotected_sensors
+    p = q + len(unprotected)
+    si, ai, yi = system.state_index, system.actuator_index, system.sensor_index
+    # (row, column) of each free parameter of W, B_a and C, in draw order.
+    slots = (
+        [(si[dst], si[src]) for src, dst in sorted(system.w_edges)],
+        [(si[dst], ai[src]) for src, dst in sorted(system.b_edges)],
+        [(yi[dst], si[src]) for src, dst in sorted(system.c_edges)],
+    )
+    count = sum(len(at) for at in slots)
+    doubles = np.array(
+        [np.random.default_rng(seed).random(2 * count) for seed in seeds]
+    ).reshape(len(seeds), 2 * count)
+    low, high = MAGNITUDES
+    magnitude = low + (high - low) * doubles[:, 0::2]
+    values = np.where(doubles[:, 1::2] < 0.5, magnitude, -magnitude)
+    W, B_a, C = (np.zeros((len(seeds), *shape)) for shape in ((n, n), (n, p), (m, n)))
+    start = 0
+    for matrix, at in zip((W, B_a, C), slots):
+        rows, cols = np.array(at, dtype=np.intp).reshape(-1, 2).T
+        matrix[:, rows, cols] = values[:, start : start + len(at)]
+        start += len(at)
+    D_a = np.zeros((m, p))
+    for col, sensor_ordinal in enumerate(unprotected):
+        D_a[sensor_ordinal, q + col] = 1.0
+    return W, B_a, C, D_a
+
+
 def sample_realization(system: StructuredSystem, seed: int) -> Realization:
     """Assign random values to every free parameter of the pattern.
 
@@ -156,53 +233,39 @@ def sample_realization(system: StructuredSystem, seed: int) -> Realization:
     exactly zero; dedicated attack entries are exactly 1.  Deterministic
     in ``seed``.
     """
-    rng = np.random.default_rng(seed)
-    low, high = MAGNITUDES
+    W, B_a, C, D_a = _parameters(system, (seed,))
+    return Realization(W=W[0], B_a=B_a[0], C=C[0], D_a=D_a, seed=seed)
 
-    def draw() -> float:
-        magnitude = rng.uniform(low, high)
-        return magnitude if rng.random() < 0.5 else -magnitude
 
-    n, q, m = system.n_states, system.n_actuators, system.n_sensors
-    unprotected = system.unprotected_sensors
-    p = q + len(unprotected)
-    si, ai, yi = system.state_index, system.actuator_index, system.sensor_index
+def _solve(stack: _Stack, z: np.ndarray) -> np.ndarray:
+    """Each realization's transfer matrices at its own frequencies ``z`` (R, F): (R, F, m, p).
 
-    W = np.zeros((n, n))
-    for src, dst in sorted(system.w_edges):
-        W[si[dst], si[src]] = draw()
-    B_a = np.zeros((n, p))
-    for src, dst in sorted(system.b_edges):
-        B_a[si[dst], ai[src]] = draw()
-    C = np.zeros((m, n))
-    for src, dst in sorted(system.c_edges):
-        C[yi[dst], si[src]] = draw()
-    D_a = np.zeros((m, p))
-    for col, sensor_ordinal in enumerate(unprotected):
-        D_a[sensor_ordinal, q + col] = 1.0
-    return Realization(W=W, B_a=B_a, C=C, D_a=D_a, seed=seed)
+    One batched solve for the whole stack.  Entries outside the support
+    are pinned to exact zero: they vanish identically for every parameter
+    value, and leaving the linear solver's rounding noise in them would
+    fake rank.
+    """
+    R, n, p = stack.B_a.shape
+    shifted = z[:, :, None, None] * np.eye(n)
+    shifted -= stack.W[:, None]
+    try:
+        # B_a is broadcast explicitly: numpy < 2 would read a right-hand
+        # side with one axis fewer than the matrices as a stack of vectors.
+        x = np.linalg.solve(shifted, np.broadcast_to(stack.B_a[:, None], (R, z.shape[1], n, p)))
+    except np.linalg.LinAlgError as exc:
+        raise SingularFrequencyError(f"a frequency in {z.ravel().tolist()} is an eigenvalue") from exc
+    g = stack.C[:, None] @ x + stack.D_a
+    g[:, :, ~stack.support] = 0.0
+    return g
 
 
 def transfer_matrix(realization: Realization, frequencies: Sequence[complex]) -> np.ndarray:
     """The attack-to-sensor transfer matrices C (zI - W)^-1 B_a + D_a, (F, m, p).
 
     One matrix per frequency z, all from one batched solve.  Entries
-    without a propagation path are pinned to exact zero: they vanish
-    identically for every parameter value, and leaving the linear solver's
-    rounding noise in them would fake rank.
+    without a propagation path are exact zeros.
     """
-    n, p = realization.B_a.shape
-    z = np.asarray(frequencies, dtype=complex)
-    shifted = z[:, None, None] * np.eye(n) - realization.W
-    try:
-        # B_a is broadcast explicitly: numpy < 2 would read a 2-D right-hand
-        # side against a stack of matrices as a stack of vectors.
-        x = np.linalg.solve(shifted, np.broadcast_to(realization.B_a, (len(z), n, p)))
-    except np.linalg.LinAlgError as exc:
-        raise SingularFrequencyError(f"a frequency in {z.tolist()} is an eigenvalue") from exc
-    g = realization.C @ x + realization.D_a
-    g[:, ~realization._support] = 0.0
-    return g
+    return _solve(_Stack.of(realization), np.asarray(frequencies, dtype=complex)[None])[0]
 
 
 def _ranks(stack: np.ndarray, tolerance: float) -> np.ndarray:
@@ -217,19 +280,24 @@ def _ranks(stack: np.ndarray, tolerance: float) -> np.ndarray:
 
 
 def _column_ranks(transfer: np.ndarray, columns: np.ndarray, tolerance: float) -> np.ndarray:
-    """Rank of each equal-size column set at each probe frequency, (N, F).
+    """Rank of each equal-size column set under each realization and frequency, (N, R, F).
 
-    ``transfer`` stacks F matrices, (F, m, p), and ``columns`` holds one set
-    per row, (N, s).  Sets are ranked in chunks of at most ``RANK_CHUNK``,
-    one SVD call each; empty sets have rank 0 without one.
+    ``transfer`` stacks R realizations' matrices at F frequencies,
+    (R, F, m, p), and ``columns`` holds one set per row, (N, s).  Sets are
+    ranked in chunks of ``RANK_CHUNK`` // (R * F) (and at least one), so
+    each SVD call takes at most ``RANK_CHUNK`` matrices, or the R * F of
+    one set; empty sets have rank 0 without one.
     """
-    ranks = np.zeros((len(columns), transfer.shape[0]), dtype=np.intp)
+    R, F = transfer.shape[:2]
+    ranks = np.zeros((len(columns), R, F), dtype=np.intp)
     if columns.shape[1]:
-        for start in range(0, len(columns), RANK_CHUNK):
-            chunk = columns[start : start + RANK_CHUNK]
-            # (F, m, N, s) -> (N, F, m, s): one m x s matrix per set and frequency.
-            ranks[start : start + RANK_CHUNK] = _ranks(
-                transfer[:, :, chunk].transpose(2, 0, 1, 3), tolerance
+        step = max(1, RANK_CHUNK // (R * F))
+        for start in range(0, len(columns), step):
+            chunk = columns[start : start + step]
+            # (R, F, m, N, s) -> (N, R, F, m, s): one m x s matrix per set,
+            # realization and frequency.
+            ranks[start : start + step] = _ranks(
+                transfer[..., chunk].transpose(3, 0, 1, 2, 4), tolerance
             )
     return ranks
 
@@ -255,23 +323,37 @@ def _column_tuple(width: int, columns: Iterable[int]) -> tuple[int, ...]:
     return cols
 
 
-def _transfers(realization: Realization, probe: RankProbe, stream: int) -> np.ndarray:
-    """Transfer matrices at the probe frequencies, stacked (F, m, p).
+def _resampled(eigenvalues: np.ndarray, probe: RankProbe, stream: int) -> list[complex]:
+    """The probe's frequencies, each moved off the spectrum ``eigenvalues``.
 
-    Collisions with the spectrum are resampled from ``stream``.
+    A frequency closer than ``EIGENVALUE_MARGIN`` to an eigenvalue is
+    replaced by annulus draws from ``stream`` until it is not.
     """
-    eigenvalues = np.linalg.eigvals(realization.W)
-    rng = None
+    rng = np.random.default_rng((probe.seed, stream, 0xA17))
+    low, high = ANNULUS
     frequencies = []
     for z in probe.frequencies:
         while np.min(np.abs(eigenvalues - z)) < EIGENVALUE_MARGIN:
-            if rng is None:
-                rng = np.random.default_rng((probe.seed, stream, 0xA17))
-            low, high = ANNULUS
             radius = np.sqrt(rng.uniform(low**2, high**2))
             z = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         frequencies.append(z)
-    return transfer_matrix(realization, frequencies)
+    return frequencies
+
+
+def _transfers(stack: _Stack, probe: RankProbe, streams: Sequence[int]) -> np.ndarray:
+    """Transfer matrices of every realization at the probe frequencies, (R, F, m, p).
+
+    One eigenvalue call for the stack finds the realizations with a
+    frequency on their spectrum; only those are resampled, each from its
+    own ``streams`` entry, so a realization's frequencies do not depend
+    on the others in the stack.
+    """
+    z = np.tile(np.array(probe.frequencies), (len(stack.W), 1))
+    eigenvalues = np.linalg.eigvals(stack.W)
+    near = np.abs(eigenvalues[:, None, :] - z[:, :, None]) < EIGENVALUE_MARGIN
+    for r in near.any(axis=(1, 2)).nonzero()[0].tolist():
+        z[r] = _resampled(eigenvalues[r], probe, streams[r])
+    return _solve(stack, z)
 
 
 def generic_normal_rank(
@@ -280,25 +362,39 @@ def generic_normal_rank(
     """Empirical generic normal rank of each set of attack columns, in input order.
 
     Each is the maximum of ``transfer_rank`` over the probe's realizations
-    and frequencies; every realization is drawn once for the whole batch.
-    It matches the maximum linking size from those components to the
-    sensor set for almost every draw.
+    and frequencies.  The realizations are drawn and solved once, as one
+    stack, for the whole batch, and each set size takes one SVD call per
+    chunk.  It matches the maximum linking size from those components to
+    the sensor set for almost every draw.
     """
     sets = [_column_tuple(system.attack_width, cols) for cols in column_sets]
     by_size: dict[int, list[int]] = {}
     for k, cols in enumerate(sets):
         by_size.setdefault(len(cols), []).append(k)
-    groups = [
-        (members, np.array([sets[k] for k in members], dtype=np.intp).reshape(len(members), size))
-        for size, members in by_size.items()
-    ]
+    trials = range(probe.trials)
+    transfer = _transfers(_Stack.drawn(system, [probe.seed + t for t in trials]), probe, trials)
     best = np.zeros(len(sets), dtype=np.int64)
-    for trial in range(probe.trials):
-        transfer = _transfers(sample_realization(system, seed=probe.seed + trial), probe, trial)
-        for members, columns in groups:
-            ranks = _column_ranks(transfer, columns, probe.tolerance).max(axis=1)
-            best[members] = np.maximum(best[members], ranks)
+    for size, members in by_size.items():
+        columns = np.array([sets[k] for k in members], dtype=np.intp).reshape(len(members), size)
+        best[members] = _column_ranks(transfer, columns, probe.tolerance).max(axis=(1, 2))
     return tuple(best.tolist())
+
+
+def _index_vectors(
+    stack: _Stack, probe: RankProbe, streams: Sequence[int], cap: int
+) -> tuple[tuple[int | float, ...], ...]:
+    """Every realization's index vector, from one ``redundancy_sweep`` over the stack."""
+    R, _, width = stack.B_a.shape
+    if not width:
+        return ((),) * R
+    transfer = _transfers(stack, probe, streams)
+    found = redundancy_sweep(
+        width, lambda sets: _column_ranks(transfer, sets, probe.tolerance), range(width), cap
+    )
+    return tuple(
+        tuple(INFINITE if positions is None else len(positions) for positions in group)
+        for group in found
+    )
 
 
 def numeric_index_vector(
@@ -319,14 +415,31 @@ def numeric_index_vector(
     attack set and of each set missing one column, then ranks the core
     left, a whole size level at once, until every column is resolved.  A
     threshold so coarse that the ranks are no longer those of a matroid
-    can change the result.  Raises ``EnumerationCapError`` when the attack
-    set is wider than ``cap``.
+    can change the result.  This is ``numeric_index_vectors`` for one
+    realization.  Raises ``EnumerationCapError`` when the attack set is
+    wider than ``cap``.
     """
-    width = realization.attack_width
-    if not width:
+    (vector,) = _index_vectors(_Stack.of(realization), probe, (realization.seed,), cap)
+    return vector
+
+
+def numeric_index_vectors(
+    system: StructuredSystem,
+    seeds: Iterable[int],
+    probe: RankProbe,
+    cap: int = DEFAULT_SUBSET_CAP,
+) -> tuple[tuple[int | float, ...], ...]:
+    """``numeric_index_vector`` of ``sample_realization(system, seed)`` for each seed, in order.
+
+    The realizations are drawn, solved and swept together: one eigenvalue
+    call and one solve for the stack, and one ``redundancy_sweep`` whose
+    rank calls rank a size level under every realization at once, with
+    each realization answered on its own ranks.  Every vector equals the
+    one-realization result; memory grows with the number of seeds.
+    Raises ``EnumerationCapError`` when the attack set is wider than
+    ``cap``.
+    """
+    seeds = list(seeds)
+    if not seeds:
         return ()
-    transfer = _transfers(realization, probe, stream=realization.seed)
-    found = redundancy_sweep(
-        width, lambda sets: _column_ranks(transfer, sets, probe.tolerance), range(width), cap
-    )
-    return tuple(INFINITE if positions is None else len(positions) for positions in found)
+    return _index_vectors(_Stack.drawn(system, seeds), probe, seeds, cap)

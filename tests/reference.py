@@ -18,7 +18,12 @@ library's reduced, level-at-a-time sweep must agree with them exactly;
 the one-matrix rank rule the stacked kernel must reproduce,
 ``transfer_matrices`` solves one frequency at a time where the library
 solves them all at once, and ``pencil_rank`` checks ``transfer_rank``
-through the system pencil.
+through the system pencil.  ``sample_realization`` draws each free
+parameter with two scalar generator calls, where the library draws a
+whole stack of realizations from one array call per seed, and
+``probe_frequencies`` resamples one realization's colliding frequencies
+one at a time, where the library finds the colliding realizations of a
+stack with one eigenvalue call.
 """
 
 from __future__ import annotations
@@ -32,10 +37,12 @@ from secindex.index import INFINITE, SecurityIndexResult
 from secindex.linking import Linking, _Dinic
 from secindex.model import AttackGraph, StructuredSystem, VertexId
 from secindex.oracle import (
+    ANNULUS,
     DEFAULT_TOLERANCE,
+    EIGENVALUE_MARGIN,
+    MAGNITUDES,
     RankProbe,
     Realization,
-    sample_realization,
     transfer_rank,
 )
 
@@ -128,6 +135,59 @@ def security_index(graph: AttackGraph, component: VertexId) -> SecurityIndexResu
         witness=None if positions is None else tuple(attack_set[k] for k in positions),
         subsets_examined=examined,
     )
+
+
+def sample_realization(system: StructuredSystem, seed: int) -> Realization:
+    """One realization, each free parameter drawn by two scalar generator calls.
+
+    A uniform magnitude on ``MAGNITUDES``, then a sign, negative when a
+    uniform draw is at least 0.5; parameters in the order of the sorted W
+    edges, then the sorted b edges, then the sorted c edges.
+    """
+    rng = np.random.default_rng(seed)
+    low, high = MAGNITUDES
+
+    def draw() -> float:
+        magnitude = rng.uniform(low, high)
+        return magnitude if rng.random() < 0.5 else -magnitude
+
+    n, q, m = system.n_states, system.n_actuators, system.n_sensors
+    unprotected = system.unprotected_sensors
+    p = q + len(unprotected)
+    si, ai, yi = system.state_index, system.actuator_index, system.sensor_index
+
+    W = np.zeros((n, n))
+    for src, dst in sorted(system.w_edges):
+        W[si[dst], si[src]] = draw()
+    B_a = np.zeros((n, p))
+    for src, dst in sorted(system.b_edges):
+        B_a[si[dst], ai[src]] = draw()
+    C = np.zeros((m, n))
+    for src, dst in sorted(system.c_edges):
+        C[yi[dst], si[src]] = draw()
+    D_a = np.zeros((m, p))
+    for col, sensor_ordinal in enumerate(unprotected):
+        D_a[sensor_ordinal, q + col] = 1.0
+    return Realization(W=W, B_a=B_a, C=C, D_a=D_a, seed=seed)
+
+
+def probe_frequencies(realization: Realization, probe: RankProbe, stream: int) -> tuple[complex, ...]:
+    """The probe's frequencies for one realization, resampled one at a time.
+
+    A frequency within ``EIGENVALUE_MARGIN`` of an eigenvalue of the
+    realization's W is replaced by annulus draws from ``stream`` until it
+    is not.
+    """
+    eigenvalues = np.linalg.eigvals(realization.W)
+    rng = np.random.default_rng((probe.seed, stream, 0xA17))
+    low, high = ANNULUS
+    frequencies = []
+    for z in probe.frequencies:
+        while np.min(np.abs(eigenvalues - z)) < EIGENVALUE_MARGIN:
+            radius = np.sqrt(rng.uniform(low**2, high**2))
+            z = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        frequencies.append(complex(z))
+    return tuple(frequencies)
 
 
 def generic_normal_rank(system: StructuredSystem, columns: Sequence[int], probe: RankProbe) -> int:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from secindex import linking
+from secindex import cli, linking
 from secindex.cli import (
     EXIT_DATA_ERROR,
     EXIT_OK,
@@ -160,6 +160,23 @@ def test_verify_collider_passes(capsys):
     assert "verdict: PASS" in out
     assert "rank/linking agreement" in out
     assert "identical index vectors: 5/5" in out
+
+
+def test_verify_rank_check_asks_linking_sizes_one_source_apart(capsys, monkeypatch):
+    # Width 3 enumerates all eight subsets; in reflected Gray-code order each
+    # query adds or drops one source of the one before it.
+    asked = []
+
+    def recorded(graph, sources, targets):
+        asked.append(frozenset(sources))
+        return linking.max_linking_size(graph, sources, targets)
+
+    monkeypatch.setattr(cli, "max_linking_size", recorded)
+    code, out, _ = run(capsys, "verify", "--input", COLLIDER, "--trials", "2")
+    assert code == EXIT_OK
+    assert "rank/linking agreement: 8/8 subsets" in out
+    assert len(set(asked)) == len(asked) == 8
+    assert all(len(a ^ b) == 1 for a, b in zip(asked, asked[1:]))
 
 
 def test_verify_fails_with_broken_tolerance(capsys):

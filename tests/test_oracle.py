@@ -16,10 +16,12 @@ from secindex.oracle import (
     Realization,
     SingularFrequencyError,
     _ranks,
+    _Stack,
     annulus_frequencies,
     default_probe,
     generic_normal_rank,
     numeric_index_vector,
+    numeric_index_vectors,
     sample_realization,
     transfer_matrix,
     transfer_rank,
@@ -66,6 +68,22 @@ def test_sampling_magnitudes_and_signs(chain_system):
     )
     values = sample_realization(wide, seed=5).W.ravel()
     assert (values > 0).any() and (values < 0).any()
+
+
+@given(
+    st.one_of(structured_systems(), systems_with_loops_and_coloops()),
+    st.lists(st.integers(min_value=0, max_value=2**63), min_size=1, max_size=4),
+)
+def test_batched_draw_is_bitwise_the_scalar_draw(system, seeds):
+    stack = _Stack.drawn(system, seeds)
+    for k, seed in enumerate(seeds):
+        expected = reference.sample_realization(system, seed)
+        alone = sample_realization(system, seed)
+        for name, stacked in (("W", stack.W[k]), ("B_a", stack.B_a[k]), ("C", stack.C[k]), ("D_a", stack.D_a)):
+            want = getattr(expected, name)
+            for got in (getattr(alone, name), stacked):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.array_equal(stack.support, expected._support)
 
 
 def test_realization_arrays_read_only(chain_system):
@@ -437,3 +455,58 @@ def test_loop_or_coloop_at_one_frequency_only():
     assert [transfer_rank(realization, [c], 1.7 + 0.9j) for c in range(3)] == [1, 1, 1]
     assert numeric_index_vector(realization, probe) == (2, INFINITE, INFINITE)
     assert reference.numeric_index_vector(realization, probe) == (2, INFINITE, INFINITE)
+
+
+def reference_index_vector(system, seed, probe):
+    """``reference.numeric_index_vector`` of one seed's realization at its resampled frequencies."""
+    realization = reference.sample_realization(system, seed)
+    frequencies = reference.probe_frequencies(realization, probe, stream=seed)
+    return reference.numeric_index_vector(realization, RankProbe(frequencies, probe.tolerance))
+
+
+@given(
+    st.one_of(
+        structured_systems(max_states=4, max_actuators=3, max_sensors=2),
+        systems_with_loops_and_coloops(max_extra=1),
+    ),
+    st.data(),
+)
+def test_numeric_index_vectors_match_per_realization_reference(system, data):
+    seeds = data.draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=3, unique=True))
+    probe = default_probe(
+        freqs=data.draw(st.integers(min_value=1, max_value=3)),
+        seed=data.draw(st.integers(min_value=0, max_value=10**6)),
+    )
+    if data.draw(st.booleans(), label="first frequency on one realization's spectrum"):
+        victim = data.draw(st.sampled_from(seeds))
+        eigenvalue = np.linalg.eigvals(sample_realization(system, victim).W)[0]
+        probe = RankProbe((eigenvalue,) + probe.frequencies[1:], seed=probe.seed)
+    expected = tuple(reference_index_vector(system, seed, probe) for seed in seeds)
+    assert numeric_index_vectors(system, seeds, probe) == expected
+    assert numeric_index_vectors(system, seeds[:1], probe) == expected[:1]
+
+
+def test_batched_resampling_follows_each_realizations_own_stream():
+    # W is lower triangular, so its x1 self-loop W[0, 0] is an eigenvalue.
+    # The first probe frequency is seed 6's: only that realization
+    # resamples, from stream 6, whatever else shares the batch.
+    system = StructuredSystem(
+        states=["x1", "x2"],
+        actuators=["u1", "u2"],
+        sensors=[("y1", False), ("y2", True)],
+        w_edges=[("x1", "x1"), ("x1", "x2")],
+        b_edges=[("u1", "x1"), ("u2", "x2")],
+        c_edges=[("x1", "y1"), ("x2", "y2")],
+    )
+    seeds = [5, 6, 7]
+    eigenvalue = complex(sample_realization(system, 6).W[0, 0])
+    probe = RankProbe(frequencies=(eigenvalue, 2.0 + 0.5j), seed=9)
+    moved = [
+        reference.probe_frequencies(sample_realization(system, seed), probe, seed) != probe.frequencies
+        for seed in seeds
+    ]
+    assert moved == [False, True, False]
+    expected = tuple(reference_index_vector(system, seed, probe) for seed in seeds)
+    assert numeric_index_vectors(system, seeds, probe) == expected
+    assert expected == tuple(numeric_index_vector(sample_realization(system, s), probe) for s in seeds)
+    assert numeric_index_vectors(system, [], probe) == ()
