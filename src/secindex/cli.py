@@ -1,21 +1,19 @@
 """Command-line surface: parse a system, compute, report.
 
 Subcommands: ``index`` (security indices as a JSON report), ``linking``
-(maximum linking size and one witness), ``verify`` (numerical agreement
-checks against the graph computations), ``export-dot`` (render the attack
-graph).  Exit codes: 0 success, 1 data error, 2 usage error, 3 verification
-below threshold.  Identical invocations produce byte-identical output.
+(maximum linking size and one witness), ``verify`` (``oracle.agreement``,
+the numerical check of the graph computations, with its fixed pass gate),
+``export-dot`` (render the attack graph).  Exit codes: 0 success, 1 data
+error, 2 usage error, 3 verification below the gate.  Identical invocations
+produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 from secindex import io
 from secindex.index import (
@@ -25,7 +23,7 @@ from secindex.index import (
     all_indices,
     security_index,
 )
-from secindex.linking import find_max_linking, max_linking_size
+from secindex.linking import find_max_linking
 from secindex.model import (
     AttackGraph,
     InvalidSystemError,
@@ -33,20 +31,12 @@ from secindex.model import (
     UnknownVertexError,
     build_attack_graph,
 )
-from secindex.oracle import (
-    DEFAULT_TOLERANCE,
-    default_probe,
-    generic_normal_rank,
-    numeric_index_vectors,
-)
+from secindex.oracle import DEFAULT_TOLERANCE, agreement, default_probe
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_USAGE = 2
 EXIT_VERIFY_FAILED = 3
-
-# Subset sampling bound for the rank-agreement check on wide attack sets.
-_RANK_CHECK_SUBSET_BUDGET = 256
 
 
 def _positive_int(text: str) -> int:
@@ -60,13 +50,6 @@ def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return value
-
-
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
     return value
 
 
@@ -123,18 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--freqs", type=_positive_int, default=3, help="probe frequencies per rank test"
     )
     p_verify.add_argument("--cap", type=_positive_int, default=DEFAULT_SUBSET_CAP)
-    p_verify.add_argument(
-        "--rank-threshold",
-        type=_fraction,
-        default=1.0,
-        help="required rank/linking agreement rate (exact mathematics: 1.0)",
-    )
-    p_verify.add_argument(
-        "--index-threshold",
-        type=_fraction,
-        default=0.98,
-        help="required structural/numerical index agreement rate",
-    )
 
     p_export = sub.add_parser("export-dot", help="render the attack graph as DOT")
     add_common(p_export)
@@ -190,81 +161,30 @@ def _cmd_linking(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _rank_check_subsets(width: int, seed: int) -> list[tuple[int, ...]]:
-    if 2**width <= _RANK_CHECK_SUBSET_BUDGET:
-        out: list[tuple[int, ...]] = []
-        for size in range(width + 1):
-            out.extend(itertools.combinations(range(width), size))
-        return out
-    rng = np.random.default_rng((seed, 0x5EB5))
-    out = []
-    for _ in range(_RANK_CHECK_SUBSET_BUDGET):
-        mask = rng.integers(0, 2, size=width)
-        out.append(tuple(int(k) for k in np.flatnonzero(mask)))
-    return out
-
-
-def _gray_rank(positions: tuple[int, ...]) -> int:
-    """Rank of a subset's bit mask in the reflected binary Gray code."""
-    mask, rank = sum(1 << k for k in positions), 0
-    while mask:
-        rank ^= mask
-        mask >>= 1
-    return rank
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     system, graph = _load(args.input)
-    width = len(graph.attack_set)
     component_names = [graph.name_of(v) for v in graph.attack_set]
     lines = [
         f"input: {args.input}",
         f"components: {' '.join(component_names) if component_names else '(none)'}",
     ]
-    if width == 0:
+    if not component_names:
         lines += ["nothing to verify", "verdict: PASS"]
         _write("\n".join(lines) + "\n", args.output)
         return EXIT_OK
 
     probe = default_probe(args.freqs, trials=3, tolerance=args.tol, seed=args.seed)
-    # Computed first: it refuses an attack set wider than the cap before any
-    # rank work.  The rank check below reuses the graph's network; its
-    # random subsets are mostly not in the size memo, which holds only the
-    # linking sizes the reduced index search asked for.
-    structural = tuple(r.index for r in all_indices(graph, cap=args.cap).results)
-
-    # Rank/linking agreement, per attack subset.
-    subsets = _rank_check_subsets(width, args.seed)
-    ranks = generic_normal_rank(system, subsets, probe)
-    # Linking sizes are asked in Gray-code order of the subsets, so each
-    # warm-started flow adds or drops few sources, and kept in input order.
-    sizes = [0] * len(subsets)
-    for n in sorted(range(len(subsets)), key=lambda n: _gray_rank(subsets[n])):
-        sources = [graph.attack_set[k] for k in subsets[n]]
-        sizes[n] = max_linking_size(graph, sources, graph.targets)
-    rank_hits = sum(rank == size for rank, size in zip(ranks, sizes))
-    rank_rate = rank_hits / len(subsets)
-    lines.append(f"rank/linking agreement: {rank_hits}/{len(subsets)} subsets ({rank_rate:.2%})")
-
-    # Structural/numerical index agreement, per component and realization.
-    pair_hits = 0
-    vector_hits = 0
-    total_pairs = width * args.trials
     seeds = [args.seed + 1000 + trial for trial in range(args.trials)]
-    for numeric in numeric_index_vectors(system, seeds, probe, cap=args.cap):
-        hits = sum(1 for a, b in zip(numeric, structural) if a == b)
-        pair_hits += hits
-        vector_hits += hits == width
-    pair_rate = pair_hits / total_pairs
-    lines.append(
-        f"index agreement: {pair_hits}/{total_pairs} component-realization pairs ({pair_rate:.2%})"
-    )
-    lines.append(f"identical index vectors: {vector_hits}/{args.trials} realizations")
-
-    ok = rank_rate >= args.rank_threshold and pair_rate >= args.index_threshold
-    lines.append(f"verdict: {'PASS' if ok else 'FAIL'}")
+    found = agreement(system, graph, probe, seeds, args.cap)
+    lines += [
+        f"rank/linking agreement: {found.rank_hits}/{found.subsets} subsets ({found.rank_rate:.2%})",
+        f"index agreement: {found.pair_hits}/{found.pairs} component-realization pairs"
+        f" ({found.pair_rate:.2%})",
+        f"identical index vectors: {found.identical_vectors}/{args.trials} realizations",
+        f"verdict: {'PASS' if found.passed else 'FAIL'}",
+    ]
     _write("\n".join(lines) + "\n", args.output)
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return EXIT_OK if found.passed else EXIT_VERIFY_FAILED
 
 
 def _cmd_export(args: argparse.Namespace) -> int:

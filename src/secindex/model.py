@@ -99,7 +99,7 @@ class StructuredSystem:
         object.__setattr__(self, "states", tuple(str(s) for s in states))
         object.__setattr__(self, "actuators", tuple(str(a) for a in actuators))
         object.__setattr__(
-            self, "sensors", tuple(Sensor(str(n), bool(p)) for n, p in sensors)
+            self, "sensors", tuple(Sensor(str(n), p) for n, p in sensors)
         )
         object.__setattr__(self, "w_edges", _as_name_pairs(w_edges))
         object.__setattr__(self, "b_edges", _as_name_pairs(b_edges))
@@ -120,6 +120,10 @@ class StructuredSystem:
         # Derived attack-vertex names must stay resolvable alongside the
         # declared ones.
         for s in self.sensors:
+            if not isinstance(s.protected, bool):
+                raise InvalidSystemError(
+                    f"protected flag of sensor {s.name!r} must be a bool, got {s.protected!r}"
+                )
             derived = ATTACK_NAME_PREFIX + s.name
             if derived in seen:
                 raise DuplicateNameError(

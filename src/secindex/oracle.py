@@ -22,9 +22,15 @@ from the ranks of single columns, of the whole attack set and of each set
 missing one column, then sweeps only the remaining core, one
 subset-size level at a time, each level ranked under every realization
 at once.  ``numeric_index_vector`` is the one-realization case and
-``numeric_index_vectors`` the batched one.  That reduction takes the
-thresholded ranks to be the rank functions of matroids, as exact ranks
-are.
+``numeric_index_vectors`` the batched one, which takes its seeds in
+blocks of ``SEED_BLOCK``.  That reduction takes the thresholded ranks to
+be the rank functions of matroids, as exact ranks are.
+
+``agreement`` is the numerical check of the graph computations that
+``secindex verify`` and ``scripts/genericity_sweep.py`` run: generic
+normal ranks against linking sizes on attack subsets, and realization
+index vectors against the structural ones, passed when the shares that
+agree reach ``RANK_AGREEMENT`` and ``INDEX_AGREEMENT``.
 
 Attack columns are ordered like the graph's attack set: actuators in
 declaration order, then unprotected sensors in declaration order.
@@ -32,14 +38,16 @@ declaration order, then unprotected sensors in declaration order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from secindex.index import DEFAULT_SUBSET_CAP, INFINITE, redundancy_sweep
-from secindex.model import StructuredSystem
+from secindex.index import DEFAULT_SUBSET_CAP, INFINITE, all_indices, redundancy_sweep
+from secindex.linking import max_linking_size
+from secindex.model import AttackGraph, StructuredSystem
 
 # Frequencies closer than this to an eigenvalue of W are treated as
 # collisions and resampled.
@@ -57,6 +65,19 @@ RANK_CHUNK = 1024
 
 # Range of the magnitude of every sampled free parameter.
 MAGNITUDES = (0.5, 1.5)
+
+# Realizations drawn, solved and swept together by ``numeric_index_vectors``;
+# bounds the memory of the solve stack and of each level's ranks.
+SEED_BLOCK = 64
+
+# Pass gate of ``agreement``: generic normal rank equals linking size
+# exactly, while index agreement holds only for almost every draw.
+RANK_AGREEMENT = 1.0
+INDEX_AGREEMENT = 0.98
+
+# Attack subsets of the rank check: all of them up to this many, else this
+# many drawn at random.
+_RANK_CHECK_SUBSET_BUDGET = 256
 
 
 class SingularFrequencyError(ArithmeticError):
@@ -431,15 +452,110 @@ def numeric_index_vectors(
 ) -> tuple[tuple[int | float, ...], ...]:
     """``numeric_index_vector`` of ``sample_realization(system, seed)`` for each seed, in order.
 
-    The realizations are drawn, solved and swept together: one eigenvalue
-    call and one solve for the stack, and one ``redundancy_sweep`` whose
-    rank calls rank a size level under every realization at once, with
-    each realization answered on its own ranks.  Every vector equals the
-    one-realization result; memory grows with the number of seeds.
-    Raises ``EnumerationCapError`` when the attack set is wider than
-    ``cap``.
+    The realizations are drawn, solved and swept together, in blocks of
+    ``SEED_BLOCK`` seeds: one eigenvalue call and one solve per block,
+    and one ``redundancy_sweep`` whose rank calls rank a size level under
+    every realization of the block at once, with each realization
+    answered on its own ranks.  Every vector equals the one-realization
+    result, and memory does not grow with the number of seeds.  Raises
+    ``EnumerationCapError`` when the attack set is wider than ``cap``.
     """
     seeds = list(seeds)
-    if not seeds:
-        return ()
-    return _index_vectors(_Stack.drawn(system, seeds), probe, seeds, cap)
+    blocks = (seeds[start : start + SEED_BLOCK] for start in range(0, len(seeds), SEED_BLOCK))
+    return tuple(
+        vector
+        for block in blocks
+        for vector in _index_vectors(_Stack.drawn(system, block), probe, block, cap)
+    )
+
+
+class Agreement(NamedTuple):
+    """Counts of one ``agreement`` check; counts of several add field by field.
+
+    ``rank_hits`` of ``subsets`` attack subsets have a generic normal rank
+    equal to their linking size, ``pair_hits`` of ``pairs`` (component,
+    realization) pairs have equal numerical and structural indices, and
+    ``identical_vectors`` realizations agree on every component.
+    """
+
+    rank_hits: int
+    subsets: int
+    pair_hits: int
+    pairs: int
+    identical_vectors: int
+
+    @property
+    def rank_rate(self) -> float:
+        return self.rank_hits / self.subsets if self.subsets else 1.0
+
+    @property
+    def pair_rate(self) -> float:
+        return self.pair_hits / self.pairs if self.pairs else 1.0
+
+    @property
+    def passed(self) -> bool:
+        """Both rates reach their gate; with no pairs, only the ranks count."""
+        return self.rank_rate >= RANK_AGREEMENT and self.pair_rate >= INDEX_AGREEMENT
+
+
+def _rank_check_subsets(width: int, seed: int) -> list[tuple[int, ...]]:
+    if 2**width <= _RANK_CHECK_SUBSET_BUDGET:
+        out: list[tuple[int, ...]] = []
+        for size in range(width + 1):
+            out.extend(itertools.combinations(range(width), size))
+        return out
+    rng = np.random.default_rng((seed, 0x5EB5))
+    out = []
+    for _ in range(_RANK_CHECK_SUBSET_BUDGET):
+        mask = rng.integers(0, 2, size=width)
+        out.append(tuple(int(k) for k in np.flatnonzero(mask)))
+    return out
+
+
+def _gray_rank(positions: tuple[int, ...]) -> int:
+    """Rank of a subset's bit mask in the reflected binary Gray code."""
+    mask, rank = sum(1 << k for k in positions), 0
+    while mask:
+        rank ^= mask
+        mask >>= 1
+    return rank
+
+
+def agreement(
+    system: StructuredSystem,
+    graph: AttackGraph,
+    probe: RankProbe,
+    seeds: Sequence[int],
+    cap: int = DEFAULT_SUBSET_CAP,
+) -> Agreement:
+    """Numerical check of the graph computations on ``graph``, the attack graph of ``system``.
+
+    The rank check compares ``generic_normal_rank`` with the maximum
+    linking size to the sensors on every attack subset, by size then
+    lexicographically, or on 256 subsets drawn from ``probe.seed`` when
+    there are more.  The index check compares ``numeric_index_vectors``
+    for ``seeds`` with ``all_indices``, per component and realization.
+    Raises ``EnumerationCapError`` before any rank work when the attack
+    set is wider than ``cap``.
+    """
+    # Computed first: it refuses an attack set wider than the cap before any
+    # rank work.  The rank check below reuses the graph's network; its
+    # random subsets are mostly not in the size memo, which holds only the
+    # linking sizes the reduced index search asked for.
+    structural = tuple(r.index for r in all_indices(graph, cap=cap).results)
+    width = len(graph.attack_set)
+    subsets = _rank_check_subsets(width, probe.seed)
+    ranks = generic_normal_rank(system, subsets, probe)
+    # Linking sizes are asked in Gray-code order of the subsets, so each
+    # warm-started flow adds or drops few sources.
+    rank_hits = 0
+    for n in sorted(range(len(subsets)), key=lambda n: _gray_rank(subsets[n])):
+        sources = [graph.attack_set[k] for k in subsets[n]]
+        rank_hits += ranks[n] == max_linking_size(graph, sources, graph.targets)
+    hits = [
+        sum(a == b for a, b in zip(numeric, structural))
+        for numeric in numeric_index_vectors(system, seeds, probe, cap)
+    ]
+    return Agreement(
+        rank_hits, len(subsets), sum(hits), width * len(hits), sum(h == width for h in hits)
+    )

@@ -3,9 +3,12 @@
 The documents and the operations come from ``perfbench/generate.py`` and
 ``perfbench/workloads.py`` and the digests from ``perfbench/pinned/``; all
 three are only read, so any change to a report, a verify output, a witness
-or a ``subsets_examined`` count on these systems fails here.
+or a ``subsets_examined`` count on these systems fails here.  The names
+that ``perfbench/tracer.py`` wraps are checked here too: a traced run of a
+program missing one still exits 0, but lacks that span's metrics.
 """
 
+import importlib
 import importlib.util
 import json
 import sys
@@ -25,6 +28,7 @@ def _load(name):
 
 generate = _load("generate")
 workloads = _load("workloads")
+tracer = _load("tracer")
 
 
 def pinned(family):
@@ -66,3 +70,25 @@ def test_batch_small_reports_and_dot_match_pinned_digests():
         out = workloads.batch_op(generate.document("batch-small", entry))
         workloads.check_linking(out)
         assert workloads.digest(out.text()) == digest, entry
+
+
+def test_every_traced_name_is_a_function_of_its_layer():
+    for layer, names in tracer.TRACED.items():
+        module = importlib.import_module(f"secindex.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_traced_batch_op_yields_every_declared_per_layer_metric():
+    declared = json.loads((BENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    # The tracing overhead is computed by the run, not by the tracer.
+    wanted = {m["name"] for m in declared} - {"trace.overhead_s"}
+    text = (BENCH.parent / "fixtures" / "chain.json").read_text(encoding="utf-8")
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        workloads.batch_op(text)
+    finally:
+        spans.uninstall()
+    assert spans.absent == []
+    assert wanted <= spans.metrics().keys()

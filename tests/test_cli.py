@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from secindex import cli, linking
+from secindex import linking, oracle
 from secindex.cli import (
     EXIT_DATA_ERROR,
     EXIT_OK,
@@ -75,7 +75,7 @@ def test_verify_cap_exceeded_fails_before_the_rank_check(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the rank check ran above the cap")
 
-    monkeypatch.setattr("secindex.cli.generic_normal_rank", refuse)
+    monkeypatch.setattr("secindex.oracle.generic_normal_rank", refuse)
     code, out, err = run(capsys, "verify", "--input", CHAIN, "--cap", "1")
     assert code == EXIT_DATA_ERROR
     assert out == ""
@@ -171,7 +171,7 @@ def test_verify_rank_check_asks_linking_sizes_one_source_apart(capsys, monkeypat
         asked.append(frozenset(sources))
         return linking.max_linking_size(graph, sources, targets)
 
-    monkeypatch.setattr(cli, "max_linking_size", recorded)
+    monkeypatch.setattr(oracle, "max_linking_size", recorded)
     code, out, _ = run(capsys, "verify", "--input", COLLIDER, "--trials", "2")
     assert code == EXIT_OK
     assert "rank/linking agreement: 8/8 subsets" in out

@@ -13,4 +13,7 @@ def test_small_sweep_passes():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert "verdict: PASS" in done.stdout
+    lines = done.stdout.splitlines()
+    assert "rank/linking agreement: 16/16 subsets (100.0000%)" in lines
+    assert "index agreement: 14/14 pairs (100.0000%)" in lines
+    assert lines[-1] == "verdict: PASS"

@@ -93,6 +93,13 @@ def test_empty_systems_rejected():
         StructuredSystem(states=["x1"], sensors=[])
 
 
+@pytest.mark.parametrize("flag", ["false", 0, None])
+def test_non_bool_sensor_flag_rejected(flag):
+    # bool("false") is True: coercing would protect the sensor silently.
+    with pytest.raises(InvalidSystemError, match="y1"):
+        StructuredSystem(states=["x1"], sensors=[("y1", flag)])
+
+
 def test_with_protected_unknown_sensor(chain_system):
     with pytest.raises(UnknownVertexError):
         chain_system.with_protected("x1")

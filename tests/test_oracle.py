@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from secindex.index import INFINITE, EnumerationCapError
 from secindex.linking import max_linking_size
+from secindex import oracle
 from secindex.model import Sensor, StructuredSystem, build_attack_graph, random_structured_system
 from secindex.oracle import (
     DEFAULT_TOLERANCE,
+    Agreement,
     EIGENVALUE_MARGIN,
     MAGNITUDES,
     RankProbe,
@@ -510,3 +512,29 @@ def test_batched_resampling_follows_each_realizations_own_stream():
     assert numeric_index_vectors(system, seeds, probe) == expected
     assert expected == tuple(numeric_index_vector(sample_realization(system, s), probe) for s in seeds)
     assert numeric_index_vectors(system, [], probe) == ()
+
+
+def test_seed_blocks_leave_every_vector_unchanged(monkeypatch, probe):
+    system = random_structured_system(4, max_states=6)
+    seeds = list(range(100, 110))
+    expected = tuple(numeric_index_vector(sample_realization(system, s), probe) for s in seeds)
+    blocks = []
+    index_vectors = oracle._index_vectors
+
+    def recorded(stack, probe, streams, cap):
+        blocks.append(len(streams))
+        return index_vectors(stack, probe, streams, cap)
+
+    monkeypatch.setattr(oracle, "SEED_BLOCK", 3)
+    monkeypatch.setattr(oracle, "_index_vectors", recorded)
+    assert numeric_index_vectors(system, seeds, probe) == expected
+    assert blocks == [3, 3, 3, 1]
+
+
+def test_agreement_gate():
+    # Ranks must agree on every subset; indices on 98% of the pairs, and
+    # only when there are pairs.
+    assert not Agreement(255, 256, 150, 150, 50).passed
+    assert Agreement(256, 256, 147, 150, 47).passed
+    assert not Agreement(256, 256, 146, 150, 46).passed
+    assert Agreement(8, 8, 0, 0, 5).passed
