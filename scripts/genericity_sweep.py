@@ -23,22 +23,25 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from secindex.cli import _nonnegative_int, _positive_int, _tolerance
 from secindex.model import build_attack_graph, random_structured_system
 from secindex.oracle import Agreement, agreement, default_probe
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--structures", type=int, default=100)
-    parser.add_argument("--realizations", type=int, default=50)
-    parser.add_argument("--max-states", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=1e-9)
-    parser.add_argument("--freqs", type=int, default=3)
+    parser.add_argument("--structures", type=_positive_int, default=100)
+    parser.add_argument("--realizations", type=_positive_int, default=50)
+    parser.add_argument("--max-states", type=int, default=8, help="at least 2")
+    parser.add_argument("--seed", type=_nonnegative_int, default=0)
+    parser.add_argument("--tol", type=_tolerance, default=1e-9)
+    parser.add_argument("--freqs", type=_positive_int, default=3)
     parser.add_argument(
         "--verbose", action="store_true", help="one line per structure instead of dots"
     )
     args = parser.parse_args()
+    if args.max_states < 2:
+        parser.error(f"argument --max-states: must be at least 2, got {args.max_states}")
 
     total = Agreement(0, 0, 0, 0, 0)
     worst_structure: tuple[float, int] = (1.0, -1)
@@ -47,7 +50,7 @@ def main() -> int:
     for k in range(args.structures):
         system = random_structured_system(args.seed + 10_000 + k, max_states=args.max_states)
         graph = build_attack_graph(system)
-        probe = default_probe(freqs=args.freqs, trials=3, tolerance=args.tol, seed=args.seed + k)
+        probe = default_probe(freqs=args.freqs, tolerance=args.tol, seed=args.seed + k)
         seeds = [args.seed + 1_000_000 + 1000 * k + trial for trial in range(args.realizations)]
         found = agreement(system, graph, probe, seeds)
         total = Agreement(*(a + b for a, b in zip(total, found)))

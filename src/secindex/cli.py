@@ -173,7 +173,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _write("\n".join(lines) + "\n", args.output)
         return EXIT_OK
 
-    probe = default_probe(args.freqs, trials=3, tolerance=args.tol, seed=args.seed)
+    probe = default_probe(args.freqs, tolerance=args.tol, seed=args.seed)
     seeds = [args.seed + 1000 + trial for trial in range(args.trials)]
     found = agreement(system, graph, probe, seeds, args.cap)
     lines += [

@@ -30,7 +30,10 @@ be the rank functions of matroids, as exact ranks are.
 ``secindex verify`` and ``scripts/genericity_sweep.py`` run: generic
 normal ranks against linking sizes on attack subsets, and realization
 index vectors against the structural ones, passed when the shares that
-agree reach ``RANK_AGREEMENT`` and ``INDEX_AGREEMENT``.
+agree reach ``RANK_AGREEMENT`` and ``INDEX_AGREEMENT``.  Its generic
+normal ranks take ``RANK_TRIALS`` realizations, and its subsets are drawn
+as reflected Gray-code words in ascending order, which is the order the
+warm-started linking flows are asked in.
 
 Attack columns are ordered like the graph's attack set: actuators in
 declaration order, then unprotected sensors in declaration order.
@@ -38,7 +41,6 @@ declaration order, then unprotected sensors in declaration order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -74,6 +76,10 @@ SEED_BLOCK = 64
 # exactly, while index agreement holds only for almost every draw.
 RANK_AGREEMENT = 1.0
 INDEX_AGREEMENT = 0.98
+
+# Realizations behind each generic normal rank, drawn from seeds
+# ``probe.seed + t`` for ``t < RANK_TRIALS``.
+RANK_TRIALS = 3
 
 # Attack subsets of the rank check: all of them up to this many, else this
 # many drawn at random.
@@ -165,14 +171,14 @@ class _Stack(NamedTuple):
 class RankProbe:
     """Evaluation protocol for rank estimates.
 
-    ``trials`` realizations are drawn from ``seed``, and every rank is
-    taken as the count of singular values above ``tolerance`` times the
-    largest one, maximized over ``frequencies``.
+    Every rank is taken as the count of singular values above
+    ``tolerance`` times the largest one, maximized over ``frequencies``;
+    generic normal ranks also maximize over ``RANK_TRIALS`` realizations
+    drawn from ``seed``.
     """
 
     frequencies: tuple[complex, ...]
     tolerance: float = DEFAULT_TOLERANCE
-    trials: int = 3
     seed: int = 0
 
     def __post_init__(self):
@@ -181,28 +187,22 @@ class RankProbe:
             raise ValueError("a probe needs at least one frequency")
         if not 0.0 < self.tolerance < 1.0:
             raise ValueError(f"tolerance must lie in (0, 1), got {self.tolerance}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
+
+
+def _annulus(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` area-uniform draws from ``ANNULUS``: all radii, then all angles."""
+    low, high = ANNULUS
+    radii = np.sqrt(rng.uniform(low**2, high**2, size=count))
+    return radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=count))
 
 
 def annulus_frequencies(count: int, seed: int = 0) -> tuple[complex, ...]:
     """Area-uniform complex samples from the standard probing annulus."""
-    rng = np.random.default_rng((seed, 0x5EED))
-    low, high = ANNULUS
-    radii = np.sqrt(rng.uniform(low**2, high**2, size=count))
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    return tuple(radii * np.exp(1j * angles))
+    return tuple(_annulus(np.random.default_rng((seed, 0x5EED)), count))
 
 
-def default_probe(
-    freqs: int = 3, trials: int = 3, tolerance: float = DEFAULT_TOLERANCE, seed: int = 0
-) -> RankProbe:
-    return RankProbe(
-        frequencies=annulus_frequencies(freqs, seed),
-        tolerance=tolerance,
-        trials=trials,
-        seed=seed,
-    )
+def default_probe(freqs: int = 3, tolerance: float = DEFAULT_TOLERANCE, seed: int = 0) -> RankProbe:
+    return RankProbe(frequencies=annulus_frequencies(freqs, seed), tolerance=tolerance, seed=seed)
 
 
 def _parameters(
@@ -351,12 +351,10 @@ def _resampled(eigenvalues: np.ndarray, probe: RankProbe, stream: int) -> list[c
     replaced by annulus draws from ``stream`` until it is not.
     """
     rng = np.random.default_rng((probe.seed, stream, 0xA17))
-    low, high = ANNULUS
     frequencies = []
     for z in probe.frequencies:
         while np.min(np.abs(eigenvalues - z)) < EIGENVALUE_MARGIN:
-            radius = np.sqrt(rng.uniform(low**2, high**2))
-            z = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            (z,) = _annulus(rng, 1)
         frequencies.append(z)
     return frequencies
 
@@ -382,17 +380,17 @@ def generic_normal_rank(
 ) -> tuple[int, ...]:
     """Empirical generic normal rank of each set of attack columns, in input order.
 
-    Each is the maximum of ``transfer_rank`` over the probe's realizations
-    and frequencies.  The realizations are drawn and solved once, as one
-    stack, for the whole batch, and each set size takes one SVD call per
-    chunk.  It matches the maximum linking size from those components to
+    Each is the maximum of ``transfer_rank`` over ``RANK_TRIALS``
+    realizations and the probe's frequencies.  The realizations are drawn
+    and solved once, as one stack, for the whole batch, and each set size
+    takes one SVD call per chunk.  It matches the maximum linking size from those components to
     the sensor set for almost every draw.
     """
     sets = [_column_tuple(system.attack_width, cols) for cols in column_sets]
     by_size: dict[int, list[int]] = {}
     for k, cols in enumerate(sets):
         by_size.setdefault(len(cols), []).append(k)
-    trials = range(probe.trials)
+    trials = range(RANK_TRIALS)
     transfer = _transfers(_Stack.drawn(system, [probe.seed + t for t in trials]), probe, trials)
     best = np.zeros(len(sets), dtype=np.int64)
     for size, members in by_size.items():
@@ -499,26 +497,22 @@ class Agreement(NamedTuple):
 
 
 def _rank_check_subsets(width: int, seed: int) -> list[tuple[int, ...]]:
+    """The rank check's attack subsets, in reflected Gray-code order.
+
+    Subset i is the bit mask of the i-th Gray code word, i ^ i >> 1, for
+    every i below 2 ** width when there are at most
+    ``_RANK_CHECK_SUBSET_BUDGET``, else for that many indices i drawn
+    uniformly from ``seed`` and sorted.  Consecutive subsets of the full
+    enumeration differ in one column.
+    """
     if 2**width <= _RANK_CHECK_SUBSET_BUDGET:
-        out: list[tuple[int, ...]] = []
-        for size in range(width + 1):
-            out.extend(itertools.combinations(range(width), size))
-        return out
-    rng = np.random.default_rng((seed, 0x5EB5))
-    out = []
-    for _ in range(_RANK_CHECK_SUBSET_BUDGET):
-        mask = rng.integers(0, 2, size=width)
-        out.append(tuple(int(k) for k in np.flatnonzero(mask)))
-    return out
-
-
-def _gray_rank(positions: tuple[int, ...]) -> int:
-    """Rank of a subset's bit mask in the reflected binary Gray code."""
-    mask, rank = sum(1 << k for k in positions), 0
-    while mask:
-        rank ^= mask
-        mask >>= 1
-    return rank
+        indices: Iterable[int] = range(2**width)
+    else:
+        bits = np.random.default_rng((seed, 0x5EB5)).integers(
+            0, 2, size=(_RANK_CHECK_SUBSET_BUDGET, width)
+        )
+        indices = sorted(sum(1 << k for k in np.flatnonzero(row).tolist()) for row in bits)
+    return [tuple(k for k in range(width) if (i ^ i >> 1) >> k & 1) for i in indices]
 
 
 def agreement(
@@ -531,10 +525,12 @@ def agreement(
     """Numerical check of the graph computations on ``graph``, the attack graph of ``system``.
 
     The rank check compares ``generic_normal_rank`` with the maximum
-    linking size to the sensors on every attack subset, by size then
-    lexicographically, or on 256 subsets drawn from ``probe.seed`` when
-    there are more.  The index check compares ``numeric_index_vectors``
-    for ``seeds`` with ``all_indices``, per component and realization.
+    linking size to the sensors on every attack subset, or on 256 subsets
+    drawn from ``probe.seed`` when there are more, asked in reflected
+    Gray-code order (``_rank_check_subsets``), so each warm-started flow
+    adds or drops few sources.  The index check compares
+    ``numeric_index_vectors`` for ``seeds`` with ``all_indices``, per
+    component and realization.
     Raises ``EnumerationCapError`` before any rank work when the attack
     set is wider than ``cap``.
     """
@@ -546,12 +542,10 @@ def agreement(
     width = len(graph.attack_set)
     subsets = _rank_check_subsets(width, probe.seed)
     ranks = generic_normal_rank(system, subsets, probe)
-    # Linking sizes are asked in Gray-code order of the subsets, so each
-    # warm-started flow adds or drops few sources.
-    rank_hits = 0
-    for n in sorted(range(len(subsets)), key=lambda n: _gray_rank(subsets[n])):
-        sources = [graph.attack_set[k] for k in subsets[n]]
-        rank_hits += ranks[n] == max_linking_size(graph, sources, graph.targets)
+    rank_hits = sum(
+        rank == max_linking_size(graph, [graph.attack_set[k] for k in subset], graph.targets)
+        for subset, rank in zip(subsets, ranks)
+    )
     hits = [
         sum(a == b for a, b in zip(numeric, structural))
         for numeric in numeric_index_vectors(system, seeds, probe, cap)

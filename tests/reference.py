@@ -41,6 +41,7 @@ from secindex.oracle import (
     DEFAULT_TOLERANCE,
     EIGENVALUE_MARGIN,
     MAGNITUDES,
+    RANK_TRIALS,
     RankProbe,
     Realization,
     transfer_rank,
@@ -194,7 +195,7 @@ def generic_normal_rank(system: StructuredSystem, columns: Sequence[int], probe:
     """One column set's rank, redrawing every realization for it."""
     return max(
         transfer_rank(sample_realization(system, probe.seed + t), columns, z, probe.tolerance)
-        for t in range(probe.trials)
+        for t in range(RANK_TRIALS)
         for z in probe.frequencies
     )
 

@@ -115,7 +115,7 @@ def test_criterion_4_rank_linking_agreement():
         mismatches = 0
         checked = 0
         for case_number, (system, graph) in enumerate(cases):
-            probe = default_probe(freqs=3, trials=3, tolerance=1e-9, seed=61000 + case_number)
+            probe = default_probe(freqs=3, tolerance=1e-9, seed=61000 + case_number)
             width = len(graph.attack_set)
             column_sets = [
                 [k for k in range(width) if (mask >> k) & 1] for mask in range(2**width)
@@ -143,7 +143,7 @@ def test_criterion_5_genericity_of_the_index():
         pair_hits = 0
         pair_total = 0
         for case_number, (system, graph) in enumerate(cases):
-            probe = default_probe(freqs=3, trials=3, tolerance=1e-9, seed=73000 + case_number)
+            probe = default_probe(freqs=3, tolerance=1e-9, seed=73000 + case_number)
             structural = tuple(r.index for r in all_indices(graph).results)
             width = len(structural)
             identical_vectors = 0

@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,8 @@ from secindex.cli import (
 
 from .conftest import FIXTURES
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 CHAIN = str(FIXTURES / "chain.json")
 COLLIDER = str(FIXTURES / "collider.json")
 
@@ -177,6 +179,59 @@ def test_verify_rank_check_asks_linking_sizes_one_source_apart(capsys, monkeypat
     assert "rank/linking agreement: 8/8 subsets" in out
     assert len(set(asked)) == len(asked) == 8
     assert all(len(a ^ b) == 1 for a, b in zip(asked, asked[1:]))
+
+
+def test_verify_samples_wide_rank_checks_in_gray_order(tmp_path, capsys, monkeypatch):
+    # Width 9 has 512 subsets, over the budget of 256, so the rank check
+    # draws 256 Gray-code words and asks them in ascending order.
+    document = {
+        "schema_version": "1",
+        "states": ["x1", "x2", "x3", "x4"],
+        "actuators": [f"u{i}" for i in range(1, 8)],
+        "sensors": [
+            {"name": "y1", "protected": False},
+            {"name": "y2", "protected": False},
+            {"name": "y3", "protected": True},
+        ],
+        "edges": {
+            "state_to_state": [["x1", "x2"], ["x2", "x3"], ["x3", "x4"]],
+            "actuator_to_state": [[f"u{i}", f"x{(i - 1) % 4 + 1}"] for i in range(1, 8)],
+            "state_to_sensor": [["x2", "y1"], ["x4", "y2"], ["x3", "y3"]],
+        },
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    gray_indices = []
+
+    def recorded(graph, sources, targets):
+        mask = sum(1 << graph.attack_set.index(v) for v in sources)
+        index = 0
+        while mask:
+            index ^= mask
+            mask >>= 1
+        gray_indices.append(index)
+        return linking.max_linking_size(graph, sources, targets)
+
+    monkeypatch.setattr(oracle, "max_linking_size", recorded)
+    code, out, _ = run(capsys, "verify", "--input", str(path), "--trials", "1", "--seed", "4")
+    assert "components: u1 u2 u3 u4 u5 u6 u7 a_y1 a_y2" in out
+    assert "rank/linking agreement: 256/256 subsets" in out
+    assert code == EXIT_OK
+    assert len(gray_indices) == 256
+    assert gray_indices == sorted(gray_indices)
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    prefix = "    secindex "
+    examples = [
+        line[len(prefix) :]
+        for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+        if line.startswith(prefix)
+    ]
+    assert examples
+    failed = [example for example in examples if run(capsys, *shlex.split(example))[0] != EXIT_OK]
+    assert failed == []
 
 
 def test_verify_fails_with_broken_tolerance(capsys):

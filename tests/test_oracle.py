@@ -101,8 +101,6 @@ def test_probe_validation():
         RankProbe(frequencies=(2.0 + 0.5j,), tolerance=0.0)
     with pytest.raises(ValueError):
         RankProbe(frequencies=(2.0 + 0.5j,), tolerance=1.5)
-    with pytest.raises(ValueError):
-        RankProbe(frequencies=(2.0 + 0.5j,), trials=0)
 
 
 def test_annulus_frequencies_live_on_annulus():
@@ -193,10 +191,9 @@ def test_generic_normal_rank_on_fixtures(chain_system, collider_system, probe):
 def test_batched_rank_matches_per_set_reference(system, data):
     probe = default_probe(
         freqs=data.draw(st.integers(min_value=1, max_value=3)),
-        trials=data.draw(st.integers(min_value=1, max_value=3)),
         seed=data.draw(st.integers(min_value=0, max_value=10**6)),
     )
-    for trial in range(probe.trials):
+    for trial in range(oracle.RANK_TRIALS):
         eigenvalues = np.linalg.eigvals(sample_realization(system, probe.seed + trial).W)
         for z in probe.frequencies:
             # The reference does not resample colliding frequencies.
@@ -285,7 +282,7 @@ def test_eigenvalue_collision_is_resampled():
     )
     r = sample_realization(system, seed=5)
     eigenvalue = complex(r.W[0, 0])
-    probe = RankProbe(frequencies=(eigenvalue,), trials=2, seed=9)
+    probe = RankProbe(frequencies=(eigenvalue,), seed=9)
     # The collision is detected and replaced by an off-spectrum frequency:
     # one sensor bounds the rank at 1, and either attack column makes the
     # other redundant.
