@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from secindex import io
 from secindex.index import (
@@ -39,25 +39,27 @@ EXIT_USAGE = 2
 EXIT_VERIFY_FAILED = 3
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+def _checked(text: str, kind: type, accepts: Callable[[Any], bool], wanted: str):
+    """``kind(text)`` if it parses and ``accepts`` it, else a usage error saying what it ``wanted``."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or not accepts(value):
+        raise argparse.ArgumentTypeError(f"must {wanted}, got {text}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _checked(text, int, lambda value: value > 0, "be a positive integer")
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return value
+    return _checked(text, int, lambda value: value >= 0, "be a non-negative integer")
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
-    return value
+    return _checked(text, float, lambda value: 0.0 < value < 1.0, "lie in (0, 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -23,6 +23,10 @@ holds any other column.  Sets of a level are taken lexicographically over
 attack-set positions, so each witness is the lexicographically smallest
 qualifying subset of minimal size.  The cost is still combinatorial,
 which is why the sweep refuses attack sets wider than its cap.
+``circuit_sizes`` finds the same indices, without witnesses, from a
+core's level r alone when that is cheaper than the sweep's levels, since
+every circuit is the fundamental circuit of some basis; the numerical
+oracle uses it.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ from secindex.model import AttackGraph, UnknownVertexError, VertexId
 DEFAULT_SUBSET_CAP = 20
 
 # Sets of a level compared with their subsets per step, times the rank
-# functions of all groups; bounds the memory of the comparison.
+# functions of all groups (in ``circuit_sizes``, level-r sets times the
+# columns outside them times the groups); bounds the memory of the comparison.
 COMPARE_CHUNK = 1 << 14
 
 INFINITE = math.inf
@@ -135,6 +140,22 @@ def plain_sweep_count(width: int, member: int, positions: tuple[int, ...] | None
     return smaller + math.comb(n, k) - after
 
 
+def settle_ranks(width: int, rank: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks of the whole attack set A and of each A \\ {k}, (1, G, F) and (w, G, F).
+
+    ``rank`` is ``redundancy_sweep``'s.  When r(A) = w under every function,
+    the w deletions are not ranked: r(A \\ {k}) <= w - 1 for any rank with
+    r(S) <= |S| (linking sizes, SVD counts), so every column is a coloop,
+    and w - 1 stands in for each of their ranks.
+    """
+    every = np.arange(width)
+    full = rank(every[None, :])
+    if (full == width).all():
+        return full, np.broadcast_to(full - 1, (width, *full.shape[1:]))
+    rest = np.arange(width - 1)
+    return full, rank(rest + (rest >= every[:, None]))  # row k: every position but k
+
+
 def redundancy_sweep(
     width: int,
     rank: Callable[[np.ndarray], np.ndarray],
@@ -150,36 +171,34 @@ def redundancy_sweep(
     own answer, one entry per ``wanted`` position, as if swept alone.  A
     subset S holding k is redundant for k in a group when S and S \\ {k}
     have equal ranks under each of its functions.  The singletons, the
-    whole attack set A and each A \\ {k} are ranked first and classified
-    by ``classify_columns``: a loop's subset is (k,), and a coloop under
-    some function or a column outside the core has none (None).  The
-    union of the groups' cores is then ranked one size level at a time
-    from size 2, each set compared with its subsets one member smaller in
-    the level below.  A group takes only sets inside its own core: a
-    column is resolved at the first level where such a set holding it is
-    redundant for it, and its witness is the first such set.  The sweep
-    stops once every group has resolved every wanted core column.  A
-    column that is a coloop under none of its group's functions is
-    redundant in that group's core itself, so one still pending after the
-    last level gets its group's whole core.  These rules give each group
-    the answer of a sweep of its own core, even when its ranks are not
-    those of a matroid.  A lone sweep stops below its core's size and
-    gives a column still pending the whole core; at that size and above,
-    the only set inside the core is the core itself, so the union's
-    longer sweep gives the same.  Raises ``EnumerationCapError`` when
-    ``width`` exceeds ``cap``.
+    whole attack set A and each A \\ {k} are ranked first
+    (``settle_ranks``, which skips the deletions when A is independent
+    under every function) and classified by ``classify_columns``: a loop's
+    subset is (k,), and a coloop under some function or a column outside
+    the core has none (None).  The union of the groups' cores is then
+    ranked one size level at a time from size 2, each set compared with
+    its subsets one member smaller in the level below.  A group takes only
+    sets inside its own core: a column is resolved at the first level
+    where such a set holding it is redundant for it, and its witness is
+    the first such set.  The sweep stops once every group has resolved
+    every wanted core column.  A column that is a coloop under none of its
+    group's functions is redundant in that group's core itself, so one
+    still pending after the last level gets its group's whole core.  These
+    rules give each group the answer of a sweep of its own core, even when
+    its ranks are not those of a matroid.  A lone sweep stops below its
+    core's size and gives a column still pending the whole core; at that
+    size and above, the only set inside the core is the core itself, so
+    the union's longer sweep gives the same.  Raises
+    ``EnumerationCapError`` when ``width`` exceeds ``cap``.
     """
     if width > cap:
         raise EnumerationCapError(width, cap)
-    every = np.arange(width)
-    singles = rank(every[:, None])
+    singles = rank(np.arange(width)[:, None])
     groups = singles.shape[1]
     if not wanted:
         return ((),) * groups
-    full = rank(every[None, :])
-    rest = np.arange(width - 1)
-    others = rest + (rest >= every[:, None])  # row k: every position but k
-    infinite, single, in_core = classify_columns(singles, rank(others), full)
+    full, deletions = settle_ranks(width, rank)
+    infinite, single, in_core = classify_columns(singles, deletions, full)
     found: list[list[tuple[int, ...] | None]] = [[None] * width for _ in range(groups)]
     for k, g in zip(*(axis.tolist() for axis in single.nonzero())):
         found[g][k] = (k,)
@@ -188,6 +207,54 @@ def redundancy_sweep(
     if len(core):
         _sweep_core(rank, core, in_core[core], infinite[core], singles[core], wanted, found)
     return tuple(tuple(answers[k] for k in wanted) for answers in found)
+
+
+def _lex_sets(count: int, size: int) -> np.ndarray:
+    """Every ``size``-subset of range(count), one sorted row each, in lexicographic order."""
+    return np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(count), size)),
+        dtype=np.intp,
+        count=math.comb(count, size) * size,
+    ).reshape(-1, size)
+
+
+def _first_row(count: int) -> np.ndarray:
+    """A set's row in its level, by bit mask, filled for level 1 of ``count`` columns."""
+    row = np.empty(1 << count, dtype=np.intp)
+    row[1 << np.arange(count)] = np.arange(count)
+    return row
+
+
+def _next_level(
+    rank: Callable[[np.ndarray], np.ndarray],
+    count: int,
+    size: int,
+    below: np.ndarray,
+    row: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank level ``size`` of ``count`` columns and compare it with the level below.
+
+    ``rank`` takes sets of positions in range(count), ``below`` holds the
+    (N', G, F) ranks of level ``size`` - 1 and ``row`` its rows by bit
+    mask, which are then overwritten with this level's.  Returns the
+    level's sets, (N, size), its ranks, (N, G, F), and ``redundant``,
+    (N, size, G): under group g, set n has the ranks of set n without its
+    j-th member.  The comparison runs in chunks of ``COMPARE_CHUNK`` sets
+    times functions.
+    """
+    sets = _lex_sets(count, size)
+    bits = 1 << sets
+    masks = bits.sum(axis=1)
+    level = rank(sets)
+    groups = level.shape[1]
+    step = max(1, COMPARE_CHUNK // below[0].size)  # below[0] is (G, F)
+    redundant = np.empty((len(sets), size, groups), dtype=bool)
+    for start in range(0, len(sets), step):
+        part = slice(start, start + step)
+        lower = below[row[masks[part, None] - bits[part]]]
+        redundant[part] = (lower == level[part, None]).all(axis=3)
+    row[masks] = np.arange(len(masks))
+    return sets, level, redundant
 
 
 def _sweep_core(
@@ -208,34 +275,17 @@ def _sweep_core(
     groups = own.shape[1]
     members = core.tolist()
     shared = own.all()  # every group's core is the union, as with G = 1
-    step = max(1, COMPARE_CHUNK // singles[0].size)  # singles[0] is (G, F)
     # [c * G + g]: core column c is still to resolve in group g.
     asked = np.array([k in wanted for k in members], dtype=bool)
     pending = (own & ~infinite & asked[:, None]).ravel()
     below = singles  # the core's level 1
-    row = np.empty(1 << len(core), dtype=np.intp)  # a set's row in its level, by bit mask
-    row[1 << np.arange(len(core))] = np.arange(len(core))
+    row = _first_row(len(core))
     for size in range(2, len(core)):
         if not pending.any():
             break
-        sets = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(len(core)), size)),
-            dtype=np.intp,
-            count=math.comb(len(core), size) * size,
-        ).reshape(-1, size)
-        bits = 1 << sets
-        masks = bits.sum(axis=1)
-        level = rank(core[sets])
-        # [n, j, g]: under group g, the ranks of set n equal those of set n
-        # without its j-th member.
-        redundant = np.empty((len(sets), size, groups), dtype=bool)
-        for start in range(0, len(sets), step):
-            part = slice(start, start + step)
-            lower = below[row[masks[part, None] - bits[part]]]
-            redundant[part] = (lower == level[part, None]).all(axis=3)
+        sets, below, redundant = _next_level(lambda s: rank(core[s]), len(core), size, below, row)
         if not shared:
             redundant &= own[sets].all(axis=1)[:, None, :]
-        row[masks] = np.arange(len(masks))
         rows, places, owners = redundant.nonzero()
         keys = sets[rows, places] * groups + owners
         # Rows come in lexicographic order, so the first row redundant for
@@ -247,10 +297,86 @@ def _sweep_core(
             k, g = divmod(key, groups)
             found[g][members[k]] = tuple(core[sets[n]].tolist())
         pending[keys] = False
-        below = level
     for key in pending.nonzero()[0].tolist():
         k, g = divmod(key, groups)
         found[g][members[k]] = tuple(core[own[:, g]].tolist())
+
+
+def circuit_sizes(
+    rank: Callable[[np.ndarray], np.ndarray], singles: np.ndarray, r: int
+) -> np.ndarray:
+    """Size of the smallest circuit through each column of a core of rank ``r``, per group.
+
+    ``rank`` is ``redundancy_sweep``'s over positions in range(c), every
+    one of them in each group's core; ``singles`` holds their ranks,
+    (c, G, F).  Returns (c, G) sizes, 0 where a column is left unresolved.
+    The answer comes from the cheaper of two exact routes for a matroid
+    with no loop or coloop.  The sweep ranks levels 2, 3, ... bottom-up
+    and resolves a column at the first level holding a redundant set
+    through it, as ``redundancy_sweep`` does.  Level r gives every
+    circuit: for a basis B (an r-set of rank r) and e outside it, B + e
+    holds one circuit, the fundamental circuit C(e, B) = {e} + {j in B :
+    B - j + e is a basis}, and every circuit is one of these (Oxley,
+    *Matroid Theory*, ch. 1).  The sweep runs while the sets it has ranked,
+    with the next level, stay within the C(c, r) sets of level r; the
+    columns still pending then take their smallest fundamental circuit
+    from level r, ranked once (or reused when the sweep reached it).  So
+    the sets ranked are at most twice those of the cheaper route.  A group
+    whose F functions disagree on some level-r set, or a pending column on
+    no fundamental circuit, is left unresolved: its ranks are not those of
+    one matroid, and only a full sweep defines its answer.
+    """
+    count, groups = singles.shape[:2]
+    sizes = np.zeros((count, groups), dtype=np.intp)
+    if not 0 < r < count:
+        return sizes
+    budget = math.comb(count, r)
+    pending = np.ones((count, groups), dtype=bool)
+    below, row, ranked = singles, _first_row(count), 0
+    top = None  # level r's sets and ranks, once ranked
+    for size in range(2, count):
+        ranked += math.comb(count, size)
+        if not pending.any() or ranked > budget:
+            break
+        sets, below, redundant = _next_level(rank, count, size, below, row)
+        hit = np.zeros_like(pending)
+        rows, places, owners = redundant.nonzero()
+        hit[sets[rows, places], owners] = True
+        sizes[pending & hit] = size
+        pending &= ~hit
+        if size == r:
+            top = sets, below
+    if not pending.any():
+        return sizes
+    if top is None:
+        sets = _lex_sets(count, r)
+        top = sets, rank(sets)
+    sets, level = top
+    agree = (level == level[..., :1]).all(axis=(0, 2))
+    basis = level[..., 0] == r  # (N, G)
+    masks = (1 << sets).sum(axis=1)
+    row[masks] = np.arange(len(sets))
+    inside = (masks[:, None] >> np.arange(count) & 1).astype(bool)  # (N, c)
+    outside = (~inside).nonzero()[1].reshape(len(sets), count - r)
+    none = count + 1  # above every circuit's size
+    best = np.full((count, groups), none)
+    step = max(1, COMPARE_CHUNK // ((count - r) * groups))
+    for start in range(0, len(sets), step):
+        part = slice(start, start + step)
+        # [n, j, e, g]: under group g, B (set n) is a basis and so is B
+        # less its j-th member plus its e-th outside column.
+        swapped = masks[part, None, None] - (1 << sets[part, :, None]) + (1 << outside[part, None, :])
+        exchange = basis[row[swapped]] & basis[part, None, None, :]
+        # (n, e, g): |C(e, B)|; 1, no circuit, when B is no basis or e a loop.
+        size = 1 + exchange.sum(axis=1)
+        size[size == 1] = none
+        through = np.empty((len(size), count, groups), dtype=np.intp)
+        through[~inside[part]] = size.reshape(-1, groups)
+        through[inside[part]] = np.where(exchange, size[:, None], none).min(axis=2).reshape(-1, groups)
+        np.minimum(best, through.min(axis=0), out=best)
+    solved = pending & agree & (best < none)
+    sizes[solved] = best[solved]
+    return sizes
 
 
 def _linking_ranks(graph: AttackGraph) -> Callable[[np.ndarray], np.ndarray]:

@@ -13,18 +13,33 @@ Realizations of one pattern are handled as a stack: drawn with one
 generator call per seed, checked against their spectra with one
 eigenvalue call, and solved at every probe frequency with one batched
 solve.  Ranks come from one kernel that ranks a stack of matrices with a
-single SVD call, in chunks of at most ``RANK_CHUNK`` matrices: the
-generic normal ranks of a batch of column sets take one call per set size
-and chunk for all the probe's realizations.  Index vectors come from ``index.redundancy_sweep``,
-the structural search's engine, run over these ranks in place of linking
-sizes, with one group per realization: it settles every loop and coloop
-from the ranks of single columns, of the whole attack set and of each set
-missing one column, then sweeps only the remaining core, one
-subset-size level at a time, each level ranked under every realization
-at once.  ``numeric_index_vector`` is the one-realization case and
+single SVD call, in chunks of at most ``RANK_CHUNK`` matrices, and tells
+a one-column matrix's rank by whether the column is nonzero.  The generic
+normal ranks of a batch of column sets take one call per set size and
+chunk under the first realization and frequency, and one more for the
+sets still below their shape cap, min(sensors, columns), under the rest.
+
+Index vectors rest on the thresholded ranks behaving as the rank
+functions of matroids, as exact ranks do.  The settle step of
+``index.redundancy_sweep`` ranks the single columns, the whole attack set
+and each set missing one column (none when the attack set is
+independent) under every realization; a realization whose frequencies
+agree on all of them has its loops (index 1), coloops (infinite) and
+core, of rank r = r(A) less its number of coloops.  Every index in a
+core of rank r is at most r + 1, and is the size of the smallest circuit
+through the column, a fundamental circuit of a basis in level r (the
+r-subsets of the core).  ``index.circuit_sizes`` reads it off level r,
+ranked once under all the realizations that share a core and r; a guard
+sweeps the cheap low levels bottom-up first, while they hold no more
+sets than level r, so the parallel pairs whose indices are 2 never rank
+level r.  A realization whose frequencies disagree on the settle step or
+on level r, or with a core column on no fundamental circuit, is swept
+bottom-up by ``index.redundancy_sweep`` instead.  At the default
+tolerance every answer equals the sweep's; a tolerance so coarse that the
+ranks are not a matroid's, such as 0.5, can change a few of them.
+``numeric_index_vector`` is the one-realization case and
 ``numeric_index_vectors`` the batched one, which takes its seeds in
-blocks of ``SEED_BLOCK``.  That reduction takes the thresholded ranks to
-be the rank functions of matroids, as exact ranks are.
+blocks of ``SEED_BLOCK``.
 
 ``agreement`` is the numerical check of the graph computations that
 ``secindex verify`` and ``scripts/genericity_sweep.py`` run: generic
@@ -43,11 +58,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from secindex.index import DEFAULT_SUBSET_CAP, INFINITE, all_indices, redundancy_sweep
+from secindex.index import (
+    DEFAULT_SUBSET_CAP,
+    INFINITE,
+    EnumerationCapError,
+    all_indices,
+    circuit_sizes,
+    classify_columns,
+    redundancy_sweep,
+    settle_ranks,
+)
 from secindex.linking import max_linking_size
 from secindex.model import AttackGraph, StructuredSystem
 
@@ -294,8 +318,12 @@ def _ranks(stack: np.ndarray, tolerance: float) -> np.ndarray:
 
     One SVD call for the whole stack.  A rank counts the singular values
     above ``tolerance`` times the largest one, so a zero or empty matrix
-    has rank 0.
+    has rank 0.  One-column matrices skip the SVD: the only singular value
+    of a column is its norm, above any tolerance below 1 times itself
+    unless the column is zero.
     """
+    if stack.shape[-1] == 1:
+        return np.count_nonzero(stack[..., 0], axis=-1).clip(max=1)
     singular_values = np.linalg.svd(stack, compute_uv=False)
     return np.count_nonzero(singular_values > tolerance * singular_values[..., :1], axis=-1)
 
@@ -382,9 +410,12 @@ def generic_normal_rank(
 
     Each is the maximum of ``transfer_rank`` over ``RANK_TRIALS``
     realizations and the probe's frequencies.  The realizations are drawn
-    and solved once, as one stack, for the whole batch, and each set size
-    takes one SVD call per chunk.  It matches the maximum linking size from those components to
-    the sensor set for almost every draw.
+    and solved once, as one stack, for the whole batch.  Each set size is
+    ranked under the first realization and frequency, and the sets whose
+    rank there is below min(m, s), for m sensors and s columns, under the
+    others too; no rank exceeds that shape cap.  It matches the maximum
+    linking size from those components to the sensor set for almost every
+    draw.
     """
     sets = [_column_tuple(system.attack_width, cols) for cols in column_sets]
     by_size: dict[int, list[int]] = {}
@@ -392,28 +423,78 @@ def generic_normal_rank(
         by_size.setdefault(len(cols), []).append(k)
     trials = range(RANK_TRIALS)
     transfer = _transfers(_Stack.drawn(system, [probe.seed + t for t in trials]), probe, trials)
+    R, F, m, p = transfer.shape
+    # The first matrix of each set, then the other R * F - 1 of those below
+    # the shape cap min(m, s), which no rank exceeds.
+    first, others = transfer[:1, :1], transfer.reshape(1, R * F, m, p)[:, 1:]
     best = np.zeros(len(sets), dtype=np.int64)
     for size, members in by_size.items():
         columns = np.array([sets[k] for k in members], dtype=np.intp).reshape(len(members), size)
-        best[members] = _column_ranks(transfer, columns, probe.tolerance).max(axis=(1, 2))
+        ranks = _column_ranks(first, columns, probe.tolerance)[:, 0, 0]
+        below = (ranks < min(m, size)).nonzero()[0]
+        if len(below):
+            ranks[below] = np.maximum(
+                ranks[below], _column_ranks(others, columns[below], probe.tolerance).max(axis=(1, 2))
+            )
+        best[members] = ranks
     return tuple(best.tolist())
 
 
 def _index_vectors(
     stack: _Stack, probe: RankProbe, streams: Sequence[int], cap: int
 ) -> tuple[tuple[int | float, ...], ...]:
-    """Every realization's index vector, from one ``redundancy_sweep`` over the stack."""
+    """Every realization's index vector, from level r of its core or from ``redundancy_sweep``.
+
+    The settle step ranks the singles, the attack set and its deletions
+    under every realization.  A realization whose frequencies agree there
+    has its loops (index 1), coloops (infinite) and core, of rank r(A)
+    less its number of coloops; realizations with the same core and r
+    share one ``circuit_sizes`` call, whose ranks take all of them at
+    once.  A realization whose frequencies disagree on the settle step,
+    or with a core column ``circuit_sizes`` leaves unresolved, is swept by
+    ``redundancy_sweep`` with the other such realizations.
+    """
     R, _, width = stack.B_a.shape
     if not width:
         return ((),) * R
+    if width > cap:
+        raise EnumerationCapError(width, cap)
     transfer = _transfers(stack, probe, streams)
-    found = redundancy_sweep(
-        width, lambda sets: _column_ranks(transfer, sets, probe.tolerance), range(width), cap
-    )
-    return tuple(
-        tuple(INFINITE if positions is None else len(positions) for positions in group)
-        for group in found
-    )
+
+    def rank(among: Sequence[int] | slice, columns: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Ranks of sets of positions in ``columns``, under the realizations ``among``."""
+        chosen = transfer[among]
+        return lambda sets: _column_ranks(chosen, columns[sets], probe.tolerance)
+
+    every = np.arange(width)
+    singles = rank(slice(None), every)(every[:, None])
+    full, deletions = settle_ranks(width, rank(slice(None), every))
+    infinite, single, in_core = classify_columns(singles, deletions, full)
+    agree = np.ones(R, dtype=bool)
+    for ranks in (singles, full, deletions):
+        agree &= (ranks == ranks[..., :1]).all(axis=(0, 2))
+    core_rank = full[0, :, 0] - infinite.sum(axis=0)
+    vectors = [
+        [1 if single[k, g] else INFINITE if infinite[k, g] else 0 for k in range(width)]
+        for g in range(R)
+    ]
+    buckets: dict[tuple[bytes, int], list[int]] = {}
+    for g in (agree & in_core.any(axis=0)).nonzero()[0].tolist():
+        buckets.setdefault((in_core[:, g].tobytes(), int(core_rank[g])), []).append(g)
+    swept = (~agree).nonzero()[0].tolist()
+    for (_, r), members in buckets.items():
+        core = in_core[:, members[0]].nonzero()[0]
+        sizes = circuit_sizes(rank(members, core), singles[core][:, members], r)
+        for g, column in zip(members, sizes.T.tolist()):
+            if 0 in column:
+                swept.append(g)
+            for k, size in zip(core.tolist(), column):
+                vectors[g][k] = size
+    if swept:
+        found = redundancy_sweep(width, rank(swept, every), range(width), cap)
+        for g, group in zip(swept, found):
+            vectors[g] = [INFINITE if positions is None else len(positions) for positions in group]
+    return tuple(tuple(vector) for vector in vectors)
 
 
 def numeric_index_vector(
@@ -428,15 +509,19 @@ def numeric_index_vector(
     subset qualifies.
 
     The ranks at each frequency are taken to behave as exact ranks, that
-    is, as the rank function of a matroid on the columns, so
-    ``index.redundancy_sweep`` finds the indices from them: it settles
-    loops and coloops from the ranks of the single columns, of the whole
-    attack set and of each set missing one column, then ranks the core
-    left, a whole size level at once, until every column is resolved.  A
-    threshold so coarse that the ranks are no longer those of a matroid
-    can change the result.  This is ``numeric_index_vectors`` for one
-    realization.  Raises ``EnumerationCapError`` when the attack set is
-    wider than ``cap``.
+    is, as the rank function of a matroid on the columns.  Loops and
+    coloops are settled from the ranks of the single columns, of the whole
+    attack set and of each set missing one column.  When the frequencies
+    agree on these, the core left, of rank r, is answered by
+    ``index.circuit_sizes``: bottom-up levels while they are cheaper than
+    level r, then each column's smallest fundamental circuit among the
+    bases of level r.  Otherwise, or when the frequencies disagree on
+    level r or a column lies on no fundamental circuit, the core is swept
+    bottom-up by ``index.redundancy_sweep``, one size level at a time,
+    until every column is resolved.  A threshold so coarse that the ranks
+    are no longer those of a matroid can change the result.  This is
+    ``numeric_index_vectors`` for one realization.  Raises
+    ``EnumerationCapError`` when the attack set is wider than ``cap``.
     """
     (vector,) = _index_vectors(_Stack.of(realization), probe, (realization.seed,), cap)
     return vector
@@ -450,13 +535,16 @@ def numeric_index_vectors(
 ) -> tuple[tuple[int | float, ...], ...]:
     """``numeric_index_vector`` of ``sample_realization(system, seed)`` for each seed, in order.
 
-    The realizations are drawn, solved and swept together, in blocks of
-    ``SEED_BLOCK`` seeds: one eigenvalue call and one solve per block,
-    and one ``redundancy_sweep`` whose rank calls rank a size level under
-    every realization of the block at once, with each realization
-    answered on its own ranks.  Every vector equals the one-realization
-    result, and memory does not grow with the number of seeds.  Raises
-    ``EnumerationCapError`` when the attack set is wider than ``cap``.
+    The realizations are drawn, solved and ranked together, in blocks of
+    ``SEED_BLOCK`` seeds: one eigenvalue call and one solve per block.
+    The settle step ranks each set under every realization of the block
+    at once; each level of a core is ranked once under all the block's
+    realizations with that core and core rank (``index.circuit_sizes``),
+    and the realizations left to ``redundancy_sweep`` share one sweep.
+    Each realization is answered on its own ranks, so every vector equals
+    the one-realization result, and memory does not grow with the number
+    of seeds.  Raises ``EnumerationCapError`` when the attack set is
+    wider than ``cap``.
     """
     seeds = list(seeds)
     blocks = (seeds[start : start + SEED_BLOCK] for start in range(0, len(seeds), SEED_BLOCK))

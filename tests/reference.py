@@ -14,7 +14,10 @@ drawn realizations and the probe's frequencies, so the library's batched
 rank must agree with it set by set.  A realization's indices rank each
 subset with one ``transfer_rank`` call per probe frequency, so the
 library's reduced, level-at-a-time sweep must agree with them exactly;
-``numeric_witness`` also gives the witness behind each index.  ``rank`` is
+``numeric_witness`` also gives the witness behind each index.
+``swept_index_vectors`` answers every realization of a stack by one
+``redundancy_sweep``, level after level up to the largest index, where the
+library reads most of them off level r of each core.  ``rank`` is
 the one-matrix rank rule the stacked kernel must reproduce,
 ``transfer_matrices`` solves one frequency at a time where the library
 solves them all at once, and ``pencil_rank`` checks ``transfer_rank``
@@ -33,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from secindex.index import INFINITE, SecurityIndexResult
+from secindex.index import DEFAULT_SUBSET_CAP, INFINITE, SecurityIndexResult, redundancy_sweep
 from secindex.linking import Linking, _Dinic
 from secindex.model import AttackGraph, StructuredSystem, VertexId
 from secindex.oracle import (
@@ -44,6 +47,9 @@ from secindex.oracle import (
     RANK_TRIALS,
     RankProbe,
     Realization,
+    _column_ranks,
+    _Stack,
+    _transfers,
     transfer_rank,
 )
 
@@ -232,6 +238,20 @@ def numeric_index_vector(
     """Realization-level indices, one ``transfer_rank`` call per subset and frequency."""
     wanted = range(realization.attack_width) if columns is None else columns
     return tuple(numeric_witness(realization, probe, c)[0] for c in wanted)
+
+
+def swept_index_vectors(
+    system: StructuredSystem, seeds: Sequence[int], probe: RankProbe
+) -> tuple[tuple[int | float, ...], ...]:
+    """Each seed's realization-level indices, from one ``redundancy_sweep`` over the stack."""
+    width = system.attack_width
+    if not width:
+        return ((),) * len(seeds)
+    transfer = _transfers(_Stack.drawn(system, seeds), probe, seeds)
+    found = redundancy_sweep(
+        width, lambda sets: _column_ranks(transfer, sets, probe.tolerance), range(width), DEFAULT_SUBSET_CAP
+    )
+    return tuple(tuple(INFINITE if p is None else len(p) for p in group) for group in found)
 
 
 def transfer_matrices(realization: Realization, frequencies: Iterable[complex]) -> np.ndarray:

@@ -46,11 +46,15 @@ def test_index_wide_reports_match_pinned_digests(tmp_path):
 
 def test_verify_mid_outputs_match_pinned_digests(tmp_path):
     # Every other entry: 30 documents, which still cycle through all three
-    # widths, for half the time of the whole catalog.
-    expected = pinned("verify-mid")["digests"]
+    # widths, for half the time of the whole catalog.  Every entry of the
+    # pools the benchmark draws its timed documents from is added.
+    recorded = pinned("verify-mid")
+    expected = recorded["digests"]
     assert len(expected) == generate.FAMILIES["verify-mid"]["catalog"] == 60
-    entries = range(0, len(expected), 2)
+    timed = {e for pool in generate.pools("verify-mid", recorded["seconds"]).values() for e in pool}
+    entries = sorted(set(range(0, len(expected), 2)) | timed)
     assert {generate.width_of("verify-mid", e) for e in entries} == {7, 8, 9}
+    assert len(entries) == 35
     for entry in entries:
         path = tmp_path / f"{entry}.json"
         path.write_text(generate.document("verify-mid", entry), encoding="utf-8")

@@ -259,6 +259,25 @@ def test_verify_rejects_negative_seed(capsys):
     assert "argument --seed: must be a non-negative integer, got -1" in err
 
 
+@pytest.mark.parametrize(
+    "option, value, wanted",
+    [
+        ("--trials", "x", "must be a positive integer"),
+        ("--freqs", "2.5", "must be a positive integer"),
+        ("--cap", "", "must be a positive integer"),
+        ("--seed", "seven", "must be a non-negative integer"),
+        ("--tol", "abc", "must lie in (0, 1)"),
+    ],
+)
+def test_verify_non_numeric_option_names_the_option(capsys, option, value, wanted):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--input", CHAIN, option, value])
+    assert excinfo.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument {option}: {wanted}, got {value}" in err
+    assert "_" not in err.split(f"argument {option}: ")[1]
+
+
 def test_non_string_description_is_one_error_line(tmp_path, capsys):
     doc = json.loads(Path(CHAIN).read_text())
     doc["description"] = 5

@@ -30,6 +30,11 @@ def test_small_sweep_passes():
         ("--tol", "1.5"),
         ("--max-states", "1"),
         ("--seed", "-1"),
+        ("--structures", "x"),
+        ("--realizations", "1.5"),
+        ("--freqs", ""),
+        ("--seed", "seven"),
+        ("--tol", "abc"),
     ],
 )
 def test_bad_option_is_a_usage_error(option, value):
@@ -41,5 +46,7 @@ def test_bad_option_is_a_usage_error(option, value):
     )
     assert done.returncode == 2
     assert f"argument {option}: " in done.stderr
+    # The message says what the option wants, not which converter refused it.
+    assert "_" not in done.stderr.split(f"argument {option}: ")[1]
     assert "Traceback" not in done.stderr
     assert "verdict" not in done.stdout

@@ -15,6 +15,7 @@ from secindex.index import (
     INFINITE,
     EnumerationCapError,
     all_indices,
+    circuit_sizes,
     is_generically_left_invertible,
     plain_sweep_count,
     redundancy_sweep,
@@ -30,6 +31,7 @@ from secindex.model import (
 )
 
 from . import reference
+from .bruteforce import brute_force_max_linking
 from .reference import first_redundant_subset
 from .strategies import structured_systems, systems_with_loops_and_coloops
 
@@ -232,9 +234,9 @@ def reference_core(graph):
 def swept_sets(graph, call):
     """``call()``'s result and the attack subsets its sweep ranked.
 
-    Every linking size ``index`` asks for is recorded.  The first 2w + 1
-    sets must be the settle step's: each singleton, the attack set A and
-    each A minus one component.  The rest are the sweep's.
+    Every linking size ``index`` asks for is recorded.  The first sets
+    must be the settle step's: each singleton, the attack set A, then each
+    A minus one component unless r(A) = w.  The rest are the sweep's.
     """
     ranked = []
 
@@ -245,7 +247,9 @@ def swept_sets(graph, call):
     with mock.patch("secindex.index.max_linking_size", record):
         result = call()
     attack_set = frozenset(graph.attack_set)
-    settle = [frozenset({v}) for v in attack_set] + [attack_set] + [attack_set - {v} for v in attack_set]
+    settle = [frozenset({v}) for v in attack_set] + [attack_set]
+    if reference.max_linking_size(graph, attack_set, graph.targets) < len(attack_set):
+        settle += [attack_set - {v} for v in attack_set]
     settle = settle if attack_set else []
     assert Counter(ranked[: len(settle)]) == Counter(settle)
     return result, ranked[len(settle) :]
@@ -430,3 +434,77 @@ def test_grouped_sweep_of_non_matroid_ranks_equals_one_sweep_per_group(data):
         st.lists(st.integers(min_value=0, max_value=width - 1), min_size=1, unique=True), label="wanted"
     )
     assert_groups_sweep_alone(width, tables, wanted)
+
+
+def members(mask):
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+@given(st.one_of(structured_systems(max_states=4), systems_with_loops_and_coloops(max_extra=1)))
+def test_fundamental_circuits_of_level_r_bases_are_the_circuits(system):
+    # Exhaustive linking sizes of every attack subset, by bit mask.
+    graph = build_attack_graph(system)
+    width = len(graph.attack_set)
+    table = [
+        brute_force_max_linking(graph.successors, [graph.attack_set[k] for k in members(mask)], graph.targets)
+        for mask in range(1 << width)
+    ]
+    r = table[-1]
+    circuits = {
+        mask
+        for mask in range(1, 1 << width)
+        if all(table[mask & ~(1 << k)] == len(members(mask)) - 1 == table[mask] for k in members(mask))
+    }
+    bases = [mask for mask in range(1 << width) if len(members(mask)) == r == table[mask]]
+    fundamental = {
+        1 << e | sum(1 << j for j in members(basis) if table[basis & ~(1 << j) | 1 << e] == r)
+        for basis in bases
+        for e in range(width)
+        if not basis >> e & 1
+    }
+    assert fundamental == circuits
+
+    # On the core, of rank r(A) less the coloops, the smallest of them
+    # through each column is its index.
+    every = (1 << width) - 1
+    core = sorted(graph.attack_set.index(v) for v in reference_core(graph))
+    coloops = sum(table[every ^ 1 << k] < r for k in range(width))
+
+    def rank(sets):
+        masks = [sum(1 << core[k] for k in row) for row in sets.tolist()]
+        return np.array([table[mask] for mask in masks], dtype=np.intp).reshape(len(masks), 1, 1)
+
+    sizes = circuit_sizes(rank, rank(np.arange(len(core))[:, None]), r - coloops)
+    assert sizes[:, 0].tolist() == [all_indices(graph).results[k].index for k in core]
+
+
+def uniform_table(width, r):
+    """Ranks of the uniform matroid U(r, width), by bit mask: min(|S|, r)."""
+    return [(min(bin(mask).count("1"), r),) for mask in range(1 << width)]
+
+
+def test_circuit_sizes_of_uniform_matroids():
+    # Every r + 1 columns of U(r, c) form a circuit.  The guard sweeps
+    # level 2 of U(2, 4) (6 sets, as many as level r) and reuses it; U(3, 6)
+    # goes from level 2 (15 sets) to level 3 (20), and U(4, 5) ranks level
+    # 4 alone (5 sets, against 10 in level 2).
+    for width, r in ((4, 2), (6, 3), (5, 4)):
+        table = uniform_table(width, r)
+        rank = table_rank([table, table])
+        sizes = circuit_sizes(rank, rank(np.arange(width)[:, None]), r)
+        assert sizes.tolist() == [[r + 1, r + 1]] * width
+
+
+def test_circuit_sizes_leave_non_matroid_groups_unresolved():
+    # Both groups have the ranks of U(2, 4) under their first function, but
+    # group 1's second function ranks {0, 1} at 1: its functions disagree
+    # on level r = 2, so none of its columns is resolved there.
+    width = 4
+    uniform = [(f, f) for (f,) in uniform_table(width, 2)]
+    split = [(f, 1 if mask == 0b11 else f) for mask, (f, _) in enumerate(uniform)]
+    rank = table_rank([uniform, split])
+    singles = rank(np.arange(width)[:, None])
+    assert circuit_sizes(rank, singles, 2).tolist() == [[3, 0]] * width
+    # Taken to have rank 3, U(2, 4) has no basis in level 3, so no column
+    # lies on a fundamental circuit.
+    assert circuit_sizes(rank, singles, 3).tolist() == [[0, 0]] * width

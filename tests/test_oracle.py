@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -535,3 +536,202 @@ def test_agreement_gate():
     assert Agreement(256, 256, 147, 150, 47).passed
     assert not Agreement(256, 256, 146, 150, 46).passed
     assert Agreement(8, 8, 0, 0, 5).passed
+
+
+@given(st.one_of(structured_systems(), systems_with_loops_and_coloops()), st.data())
+def test_level_r_indices_match_the_sweep(system, data):
+    seeds = data.draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=4, unique=True))
+    probe = default_probe(
+        freqs=data.draw(st.integers(min_value=1, max_value=3)),
+        seed=data.draw(st.integers(min_value=0, max_value=10**6)),
+    )
+    assert numeric_index_vectors(system, seeds, probe) == reference.swept_index_vectors(system, seeds, probe)
+
+
+def test_level_r_indices_match_the_sweep_on_wider_systems():
+    probe = default_probe(seed=21)
+    for seed in range(30):
+        system = random_structured_system(seed + 4000, max_states=10, max_actuators=6, max_sensors=5)
+        seeds = [seed, seed + 1, seed + 2]
+        assert numeric_index_vectors(system, seeds, probe) == reference.swept_index_vectors(
+            system, seeds, probe
+        ), seed
+
+
+def sweeps_recorded(monkeypatch):
+    """The realizations of each ``redundancy_sweep`` call the oracle makes, as group counts."""
+    calls = []
+    sweep = oracle.redundancy_sweep
+
+    def recorded(width, rank, wanted, cap):
+        found = sweep(width, rank, wanted, cap)
+        calls.append(len(found))
+        return found
+
+    monkeypatch.setattr(oracle, "redundancy_sweep", recorded)
+    return calls
+
+
+def test_frequency_disagreement_on_the_settle_step_takes_the_sweep(monkeypatch):
+    # The realization of ``test_loop_or_coloop_at_one_frequency_only``: u1
+    # is a loop at z = 2 and not at the other frequency, so the two
+    # frequencies classify it differently and only the sweep answers.
+    block = np.array([[0.0, 0.0], [-1.5, 0.5]])
+    realization = Realization(
+        W=np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), block]]),
+        B_a=np.eye(4)[:, :3],
+        C=np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]]),
+        D_a=np.zeros((2, 3)),
+        seed=0,
+    )
+    calls = sweeps_recorded(monkeypatch)
+    assert numeric_index_vector(realization, RankProbe(frequencies=(2.0, 1.7 + 0.9j))) == (2, INFINITE, INFINITE)
+    assert calls == [1]
+    calls.clear()
+    assert numeric_index_vector(realization, RankProbe(frequencies=(1.7 + 0.9j,))) == (2, 2, INFINITE)
+    assert calls == []
+
+
+def test_unresolved_core_columns_take_the_sweep(monkeypatch, probe):
+    # A core column that level r leaves unresolved (0) sends its
+    # realization, and only it, to the sweep, which answers it in full.
+    system = random_structured_system(4, max_states=6)
+    seeds = list(range(100, 106))
+    expected = reference.swept_index_vectors(system, seeds, probe)
+    circuits = oracle.circuit_sizes
+
+    def first_unresolved(rank, singles, r):
+        sizes = circuits(rank, singles, r)
+        sizes[0, 0] = 0
+        return sizes
+
+    calls = sweeps_recorded(monkeypatch)
+    monkeypatch.setattr(oracle, "circuit_sizes", first_unresolved)
+    assert numeric_index_vectors(system, seeds, probe) == expected
+    assert calls and all(count == 1 for count in calls)
+
+
+def parallel_pairs(h):
+    """h states, each driven by two actuators and read by its own protected sensor.
+
+    The core is all 2h actuators, of rank h, and every index is 2.
+    """
+    states = [f"x{k}" for k in range(1, h + 1)]
+    return StructuredSystem(
+        states=states,
+        actuators=[f"u{k}" for k in range(1, 2 * h + 1)],
+        sensors=[Sensor(f"y{k}", True) for k in range(1, h + 1)],
+        b_edges=[(f"u{k}", states[(k - 1) // 2]) for k in range(1, 2 * h + 1)],
+        c_edges=[(x, f"y{k}") for k, x in enumerate(states, 1)],
+    )
+
+
+def everyone_reads_everything(width, sensors):
+    """``width`` actuators on their own states, each read by all ``sensors`` protected sensors.
+
+    The core is every actuator, of rank ``sensors``, and every index is
+    ``sensors`` + 1.
+    """
+    states = [f"x{k}" for k in range(1, width + 1)]
+    return StructuredSystem(
+        states=states,
+        actuators=[f"u{k}" for k in range(1, width + 1)],
+        sensors=[Sensor(f"y{k}", True) for k in range(1, sensors + 1)],
+        b_edges=[(f"u{k}", x) for k, x in enumerate(states, 1)],
+        c_edges=[(x, f"y{k}") for x in states for k in range(1, sensors + 1)],
+    )
+
+
+@pytest.mark.parametrize(
+    "system, index",
+    [(parallel_pairs(6), 2), (everyone_reads_everything(12, 5), 6), (everyone_reads_everything(8, 6), 7)],
+)
+def test_level_r_ranks_at_most_twice_the_cheaper_route(monkeypatch, probe, system, index):
+    # The sweep ranks levels 2 .. index and level r ranks C(c, r) sets;
+    # the guard keeps the sets ranked within twice the smaller of the two.
+    ranked = []
+    circuits = oracle.circuit_sizes
+
+    def counted(rank, singles, r):
+        def counting(sets):
+            ranked.append(len(sets))
+            return rank(sets)
+
+        return circuits(counting, singles, r)
+
+    monkeypatch.setattr(oracle, "circuit_sizes", counted)
+    calls = sweeps_recorded(monkeypatch)
+    width = system.attack_width
+    assert numeric_index_vectors(system, [1, 2], probe) == ((index,) * width,) * 2
+    assert calls == []
+    r = system.n_sensors
+    sweep = sum(math.comb(width, size) for size in range(2, index + 1))
+    assert 0 < sum(ranked) <= 2 * min(sweep, math.comb(width, r))
+
+
+def test_level_r_memory_stays_within_the_sweeps():
+    # Twelve columns of rank 5, every index 6, under 64 realizations: the
+    # sweep's levels 2 .. 6 peaked at 15.0 MiB (tracemalloc); the guard
+    # stops the sweep at level 4, and level 5 is compared in chunks.
+    system = everyone_reads_everything(12, 5)
+    probe = default_probe(seed=16)
+    tracemalloc.start()
+    try:
+        vectors = numeric_index_vectors(system, range(64), probe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vectors == ((6,) * 12,) * 64
+    assert peak < 15 * 2**20
+
+
+def matrices_ranked(monkeypatch):
+    """The number of matrices each ``_ranks`` call receives."""
+    counts = []
+    ranks = oracle._ranks
+
+    def counted(stack, tolerance):
+        counts.append(math.prod(stack.shape[:-2]))
+        return ranks(stack, tolerance)
+
+    monkeypatch.setattr(oracle, "_ranks", counted)
+    return counts
+
+
+def test_left_invertible_system_ranks_each_set_once_and_no_deletion(monkeypatch, probe):
+    # Each actuator drives its own state, read by its own sensor: every set
+    # of columns is independent, so the rank check's first matrix already
+    # reaches the shape cap, and the settle step finds r(A) = w.
+    width = 4
+    states = [f"x{k}" for k in range(1, width + 1)]
+    system = StructuredSystem(
+        states=states,
+        actuators=[f"u{k}" for k in range(1, width + 1)],
+        sensors=[Sensor(f"y{k}", True) for k in range(1, width + 1)],
+        b_edges=[(f"u{k}", x) for k, x in enumerate(states, 1)],
+        c_edges=[(x, f"y{k}") for k, x in enumerate(states, 1)],
+    )
+    sets = oracle._rank_check_subsets(width, probe.seed)
+    counts = matrices_ranked(monkeypatch)
+    assert generic_normal_rank(system, sets, probe) == tuple(len(s) for s in sets)
+    assert sum(counts) == len(sets) - 1  # the empty set takes no matrix
+    counts.clear()
+    seeds = [3, 4]
+    assert numeric_index_vectors(system, seeds, probe) == ((INFINITE,) * width,) * len(seeds)
+    # The singles and the attack set, under each realization and frequency.
+    assert sum(counts) == (width + 1) * len(seeds) * len(probe.frequencies)
+
+
+def test_one_column_ranks_like_its_singular_value():
+    rng = np.random.default_rng(5)
+    column = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
+    stack = np.stack([0.0 * column, 1e-300 * column, column])
+    for tolerance in (DEFAULT_TOLERANCE, 0.5, 0.999999):
+        ranks = _ranks(stack, tolerance)
+        expected = [reference.rank(matrix, tolerance) for matrix in stack]
+        assert ranks.tolist() == expected == [0, 1, 1]
+        singular_values = np.linalg.svd(stack, compute_uv=False)
+        assert ranks.tolist() == np.count_nonzero(
+            singular_values > tolerance * singular_values[..., :1], axis=-1
+        ).tolist()
+    assert _ranks(np.zeros((2, 0, 1)), DEFAULT_TOLERANCE).tolist() == [0, 0]
