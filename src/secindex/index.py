@@ -171,25 +171,26 @@ def redundancy_sweep(
     own answer, one entry per ``wanted`` position, as if swept alone.  A
     subset S holding k is redundant for k in a group when S and S \\ {k}
     have equal ranks under each of its functions.  The singletons, the
-    whole attack set A and each A \\ {k} are ranked first
-    (``settle_ranks``, which skips the deletions when A is independent
-    under every function) and classified by ``classify_columns``: a loop's
-    subset is (k,), and a coloop under some function or a column outside
-    the core has none (None).  The union of the groups' cores is then
-    ranked one size level at a time from size 2, each set compared with
-    its subsets one member smaller in the level below.  A group takes only
-    sets inside its own core: a column is resolved at the first level
-    where such a set holding it is redundant for it, and its witness is
-    the first such set.  The sweep stops once every group has resolved
-    every wanted core column.  A column that is a coloop under none of its
-    group's functions is redundant in that group's core itself, so one
-    still pending after the last level gets its group's whole core.  These
-    rules give each group the answer of a sweep of its own core, even when
-    its ranks are not those of a matroid.  A lone sweep stops below its
-    core's size and gives a column still pending the whole core; at that
-    size and above, the only set inside the core is the core itself, so
-    the union's longer sweep gives the same.  Raises
-    ``EnumerationCapError`` when ``width`` exceeds ``cap``.
+    whole attack set A and each A \\ {k} are ranked first and classified
+    by ``classify_columns``: a loop's subset is (k,), and a coloop under
+    some function or a column outside the core has none (None).  The
+    union of the groups' cores is then ranked one size level at a time
+    from size 2, each set compared with its subsets one member smaller in
+    the level below.  A group takes only sets inside its own core: a
+    column is resolved at the first level where such a set holding it is
+    redundant for it, and its witness is the first such set.  The sweep
+    stops once every group has resolved every wanted core column.  A
+    column that is a coloop under none of its group's functions is
+    redundant in that group's core itself, so one still pending after the
+    last level gets its group's whole core.  These rules give each group
+    the answer of a sweep of its own core, even when its ranks are not
+    those of a matroid.  A lone sweep stops below its core's size and
+    gives a column still pending the whole core; at that size and above,
+    the only set inside the core is the core itself, so the union's
+    longer sweep gives the same.  ``settle_ranks`` ranks A and its
+    deletions, and skips the deletions when A is independent under every
+    function.  Raises ``EnumerationCapError`` when ``width`` exceeds
+    ``cap``.
     """
     if width > cap:
         raise EnumerationCapError(width, cap)

@@ -30,11 +30,6 @@ def test_small_sweep_passes():
         ("--tol", "1.5"),
         ("--max-states", "1"),
         ("--seed", "-1"),
-        ("--structures", "x"),
-        ("--realizations", "1.5"),
-        ("--freqs", ""),
-        ("--seed", "seven"),
-        ("--tol", "abc"),
     ],
 )
 def test_bad_option_is_a_usage_error(option, value):
@@ -46,7 +41,29 @@ def test_bad_option_is_a_usage_error(option, value):
     )
     assert done.returncode == 2
     assert f"argument {option}: " in done.stderr
+    assert "Traceback" not in done.stderr
+    assert "verdict" not in done.stdout
+
+
+@pytest.mark.parametrize(
+    "option, value, wanted",
+    [
+        ("--structures", "x", "must be a positive integer"),
+        ("--realizations", "1.5", "must be a positive integer"),
+        ("--freqs", "", "must be a positive integer"),
+        ("--seed", "seven", "must be a non-negative integer"),
+        ("--tol", "abc", "must lie in (0, 1)"),
+    ],
+)
+def test_non_numeric_option_names_the_option(option, value, wanted):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--structures", "1", "--realizations", "1", option, value],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 2
+    assert f"argument {option}: {wanted}, got {value}" in done.stderr
     # The message says what the option wants, not which converter refused it.
     assert "_" not in done.stderr.split(f"argument {option}: ")[1]
     assert "Traceback" not in done.stderr
-    assert "verdict" not in done.stdout
