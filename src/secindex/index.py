@@ -1,4 +1,4 @@
-"""Security indices of attackable components, by a level sweep of the core.
+"""Security indices of attackable components, from level r of the core.
 
 The index of a component i is the smallest number of components an
 attacker must control so that, for almost every realization of the free
@@ -10,23 +10,27 @@ subset it belongs to, the index is infinite.
 Linking size to the sensors is the rank function of a gammoid on the
 attack set (Perfect 1968; Mason 1972), and a subset S containing i
 qualifies exactly when r(S) = r(S \\ {i}).  The smallest such subsets are
-the smallest circuits through i.  ``redundancy_sweep`` finds them for any
-matroid rank function given as ranks of whole batches of position sets,
-and for several independent groups of rank functions at once; the
-numerical oracle runs it over SVD ranks of transfer-matrix columns, one
-group per realization.
-It first settles each column from a few ranks: a coloop lies on no
-circuit (infinite index), a loop is a circuit by itself (index 1).  Then
-it ranks the core, the columns that are neither loops nor coloops, one
-subset size at a time, since no smallest circuit through a core column
-holds any other column.  Sets of a level are taken lexicographically over
-attack-set positions, so each witness is the lexicographically smallest
-qualifying subset of minimal size.  The cost is still combinatorial,
-which is why the sweep refuses attack sets wider than its cap.
-``circuit_sizes`` finds the same indices, without witnesses, from a
-core's level r alone when that is cheaper than the sweep's levels, since
-every circuit is the fundamental circuit of some basis; the numerical
-oracle uses it.
+the smallest circuits through i.  Both index routes, the structural one
+over linking sizes and the numerical oracle over SVD ranks of
+transfer-matrix columns, take a rank function given as ranks of whole
+batches of position sets, for several independent groups of rank
+functions at once (one group per realization).  They first settle each
+column from a few ranks (``settle_ranks``, ``classify_columns``): a
+coloop lies on no circuit (infinite index), a loop is a circuit by itself
+(index 1).  The core, the columns that are neither, has rank r = r(A)
+less the number of coloops, and no smallest circuit through a core column
+holds any other column.  Every circuit is the fundamental circuit of a
+basis among the core's r-subsets (level r), so ``circuit_keys`` reads
+each core column's smallest circuit off level r, after a guard sweep of
+the low levels while they are cheaper.  Circuits are keyed by size, then
+lexicographically over attack-set positions, so each witness is the
+lexicographically smallest qualifying subset of minimal size.  A core of
+nullity 1 is a single circuit, which the structural route answers with
+no further rank.  ``redundancy_sweep`` ranks the core bottom-up, one
+subset size at a time, with the same witnesses; the oracle falls back on
+it for ranks that do not behave as a matroid's.  The cost is still
+combinatorial, which is why both routes refuse attack sets wider than
+their cap.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -44,7 +48,7 @@ from secindex.model import AttackGraph, UnknownVertexError, VertexId
 DEFAULT_SUBSET_CAP = 20
 
 # Sets of a level compared with their subsets per step, times the rank
-# functions of all groups (in ``circuit_sizes``, level-r sets times the
+# functions of all groups (in ``circuit_keys``, level-r sets times the
 # columns outside them times the groups); bounds the memory of the comparison.
 COMPARE_CHUNK = 1 << 14
 
@@ -157,48 +161,40 @@ def settle_ranks(width: int, rank: Callable[[np.ndarray], np.ndarray]) -> tuple[
 
 
 def redundancy_sweep(
-    width: int,
     rank: Callable[[np.ndarray], np.ndarray],
-    wanted: Sequence[int],
-    cap: int,
+    singles: np.ndarray,
+    full: np.ndarray,
+    deletions: np.ndarray,
 ) -> tuple[tuple[tuple[int, ...] | None, ...], ...]:
-    """Lexicographically first smallest redundant subset of each ``wanted`` position, per group.
+    """Lexicographically first smallest redundant subset of each position, per group.
 
     ``rank(sets)`` takes N equal-size sets of attack-set positions, one
     sorted row each of an (N, s) array, and returns their ranks as an
-    (N, G, F) array: G independent groups (realizations; G = 1 for the
-    linking size) of F matroid rank functions each.  Each group gets its
-    own answer, one entry per ``wanted`` position, as if swept alone.  A
-    subset S holding k is redundant for k in a group when S and S \\ {k}
-    have equal ranks under each of its functions.  The singletons, the
-    whole attack set A and each A \\ {k} are ranked first and classified
-    by ``classify_columns``: a loop's subset is (k,), and a coloop under
-    some function or a column outside the core has none (None).  The
-    union of the groups' cores is then ranked one size level at a time
-    from size 2, each set compared with its subsets one member smaller in
-    the level below.  A group takes only sets inside its own core: a
-    column is resolved at the first level where such a set holding it is
-    redundant for it, and its witness is the first such set.  The sweep
-    stops once every group has resolved every wanted core column.  A
-    column that is a coloop under none of its group's functions is
-    redundant in that group's core itself, so one still pending after the
-    last level gets its group's whole core.  These rules give each group
-    the answer of a sweep of its own core, even when its ranks are not
-    those of a matroid.  A lone sweep stops below its core's size and
-    gives a column still pending the whole core; at that size and above,
-    the only set inside the core is the core itself, so the union's
-    longer sweep gives the same.  ``settle_ranks`` ranks A and its
-    deletions, and skips the deletions when A is independent under every
-    function.  Raises ``EnumerationCapError`` when ``width`` exceeds
-    ``cap``.
+    (N, G, F) array: G independent groups (realizations) of F rank
+    functions each.  ``singles``, ``full`` and ``deletions`` are the settle
+    step's ranks under the same groups: of each {k}, (w, G, F), and those
+    ``settle_ranks`` gives of the whole attack set A and of each A \\ {k}.
+    Each group gets its own answer, one entry per position, as if swept
+    alone.  A subset S holding k is redundant for k in a group when S and
+    S \\ {k} have equal ranks under each of its functions.  The settle ranks
+    are classified by ``classify_columns``: a loop's subset is (k,), and a
+    coloop under some function or a column outside the core has none
+    (None).  The union of the groups' cores is then ranked one size level
+    at a time from size 2, each set compared with its subsets one member
+    smaller in the level below.  A group takes only sets inside its own
+    core: a column is resolved at the first level where such a set holding
+    it is redundant for it, and its witness is the first such set.  The
+    sweep stops once every group has resolved every core column.  A column
+    that is a coloop under none of its group's functions is redundant in
+    that group's core itself, so one still pending after the last level
+    gets its group's whole core.  These rules give each group the answer
+    of a sweep of its own core, even when its ranks are not those of a
+    matroid, which is why the numerical oracle falls back on it.  A lone
+    sweep stops below its core's size and gives a column still pending the
+    whole core; at that size and above, the only set inside the core is
+    the core itself, so the union's longer sweep gives the same.
     """
-    if width > cap:
-        raise EnumerationCapError(width, cap)
-    singles = rank(np.arange(width)[:, None])
-    groups = singles.shape[1]
-    if not wanted:
-        return ((),) * groups
-    full, deletions = settle_ranks(width, rank)
+    width, groups = singles.shape[:2]
     infinite, single, in_core = classify_columns(singles, deletions, full)
     found: list[list[tuple[int, ...] | None]] = [[None] * width for _ in range(groups)]
     for k, g in zip(*(axis.tolist() for axis in single.nonzero())):
@@ -206,8 +202,8 @@ def redundancy_sweep(
 
     core = in_core.any(axis=1).nonzero()[0]
     if len(core):
-        _sweep_core(rank, core, in_core[core], infinite[core], singles[core], wanted, found)
-    return tuple(tuple(answers[k] for k in wanted) for answers in found)
+        _sweep_core(rank, core, in_core[core], infinite[core], singles[core], found)
+    return tuple(tuple(answers) for answers in found)
 
 
 def _lex_sets(count: int, size: int) -> np.ndarray:
@@ -264,7 +260,6 @@ def _sweep_core(
     own: np.ndarray,
     infinite: np.ndarray,
     singles: np.ndarray,
-    wanted: Sequence[int],
     found: list[list[tuple[int, ...] | None]],
 ) -> None:
     """``redundancy_sweep``'s level sweep of the union ``core`` of the groups' cores.
@@ -277,8 +272,7 @@ def _sweep_core(
     members = core.tolist()
     shared = own.all()  # every group's core is the union, as with G = 1
     # [c * G + g]: core column c is still to resolve in group g.
-    asked = np.array([k in wanted for k in members], dtype=bool)
-    pending = (own & ~infinite & asked[:, None]).ravel()
+    pending = (own & ~infinite).ravel()
     below = singles  # the core's level 1
     row = _first_row(len(core))
     for size in range(2, len(core)):
@@ -303,64 +297,72 @@ def _sweep_core(
         found[g][members[k]] = tuple(core[own[:, g]].tolist())
 
 
-def circuit_sizes(
-    rank: Callable[[np.ndarray], np.ndarray], singles: np.ndarray, r: int
+def circuit_keys(
+    rank: Callable[[np.ndarray], np.ndarray],
+    singles: np.ndarray,
+    r: int,
+    wanted: np.ndarray | slice = slice(None),
 ) -> np.ndarray:
-    """Size of the smallest circuit through each column of a core of rank ``r``, per group.
+    """Smallest circuit through each column of a core of rank ``r``, per group, as a key.
 
     ``rank`` is ``redundancy_sweep``'s over positions in range(c), every
     one of them in each group's core; ``singles`` holds their ranks,
-    (c, G, F).  Returns (c, G) sizes, 0 where a column is left unresolved.
-    The answer comes from the cheaper of two exact routes for a matroid
-    with no loop or coloop.  The sweep ranks levels 2, 3, ... bottom-up
-    and resolves a column at the first level holding a redundant set
-    through it, as ``redundancy_sweep`` does.  Level r gives every
-    circuit: for a basis B (an r-set of rank r) and e outside it, B + e
-    holds one circuit, the fundamental circuit C(e, B) = {e} + {j in B :
-    B - j + e is a basis}, and every circuit is one of these (Oxley,
-    *Matroid Theory*, ch. 1).  The sweep runs while the sets it has ranked,
-    with the next level, stay within the C(c, r) sets of level r; the
-    columns still pending then take their smallest fundamental circuit
-    from level r, ranked once (or reused when the sweep reached it).  So
-    the sets ranked are at most twice those of the cheaper route.  A group
-    whose F functions disagree on some level-r set, or a pending column on
-    no fundamental circuit, is left unresolved: its ranks are not those of
-    one matroid, and only a full sweep defines its answer.
+    (c, G, F).  Returns (c, G) keys, 0 where a column is left unresolved.
+    The search stops once the ``wanted`` columns (all by default) are
+    resolved, which can leave the others unresolved.
+    A circuit's key is its size << c | (2**c - 1 - revmask), where
+    ``revmask`` puts column i on bit c - 1 - i: a smaller key is a smaller
+    circuit, and of two circuits of one size the lexicographically first,
+    so the least key through a column is its index (``key >> c``) and its
+    witness.  The answer comes from the cheaper of two exact routes for a
+    matroid with no loop or coloop.  The guard sweep ranks levels 2, 3,
+    ... bottom-up and resolves a column at the first level holding a
+    redundant set through it, as ``redundancy_sweep`` does, with the first
+    such set.  Level r gives every circuit: for a basis B (an r-set of
+    rank r) and e outside it, B + e holds one circuit, the fundamental
+    circuit C(e, B) = {e} + {j in B : B - j + e is a basis}, and every
+    circuit is one of these (Oxley, *Matroid Theory*, ch. 1).  The sweep
+    runs while the sets it has ranked, with the next level, stay fewer
+    than the C(c, r) sets of level r; the columns still pending then take
+    their least key over the fundamental circuits of level r.  So the sets
+    ranked are at most twice those of the cheaper route; at a tie level r
+    is ranked, since it settles every column.  A group whose F functions
+    disagree on some level-r set, or a pending column on no fundamental
+    circuit, is left unresolved: its ranks are not those of one matroid,
+    and only a full sweep defines its answer.
     """
     count, groups = singles.shape[:2]
-    sizes = np.zeros((count, groups), dtype=np.intp)
+    keys = np.zeros((count, groups), dtype=np.int64)
     if not 0 < r < count:
-        return sizes
+        return keys
+    low = (1 << count) - 1
+    revbit = 1 << (count - 1 - np.arange(count, dtype=np.int64))
+    none = (count + 1) << count  # above every circuit's key
+    best = np.full((count, groups), none)
     budget = math.comb(count, r)
-    pending = np.ones((count, groups), dtype=bool)
     below, row, ranked = singles, _first_row(count), 0
-    top = None  # level r's sets and ranks, once ranked
     for size in range(2, count):
         ranked += math.comb(count, size)
-        if not pending.any() or ranked > budget:
+        if (best[wanted] < none).all() or ranked >= budget:
             break
         sets, below, redundant = _next_level(rank, count, size, below, row)
-        hit = np.zeros_like(pending)
         rows, places, owners = redundant.nonzero()
-        hit[sets[rows, places], owners] = True
-        sizes[pending & hit] = size
-        pending &= ~hit
-        if size == r:
-            top = sets, below
-    if not pending.any():
-        return sizes
-    if top is None:
-        sets = _lex_sets(count, r)
-        top = sets, rank(sets)
-    sets, level = top
+        # Keys grow with the level, so a column resolved below keeps its key.
+        set_keys = size << count | low - revbit[sets].sum(axis=1)
+        np.minimum.at(best, (sets[rows, places], owners), set_keys[rows])
+    pending = best == none
+    keys[~pending] = best[~pending]
+    if not pending[wanted].any():
+        return keys
+    sets = _lex_sets(count, r)
+    level = rank(sets)
     agree = (level == level[..., :1]).all(axis=(0, 2))
     basis = level[..., 0] == r  # (N, G)
     masks = (1 << sets).sum(axis=1)
     row[masks] = np.arange(len(sets))
     inside = (masks[:, None] >> np.arange(count) & 1).astype(bool)  # (N, c)
     outside = (~inside).nonzero()[1].reshape(len(sets), count - r)
-    none = count + 1  # above every circuit's size
-    best = np.full((count, groups), none)
+    best[:] = none
     step = max(1, COMPARE_CHUNK // ((count - r) * groups))
     for start in range(0, len(sets), step):
         part = slice(start, start + step)
@@ -368,20 +370,28 @@ def circuit_sizes(
         # less its j-th member plus its e-th outside column.
         swapped = masks[part, None, None] - (1 << sets[part, :, None]) + (1 << outside[part, None, :])
         exchange = basis[row[swapped]] & basis[part, None, None, :]
-        # (n, e, g): |C(e, B)|; 1, no circuit, when B is no basis or e a loop.
+        # (n, e, g): the key of C(e, B); none when B is no basis or e a loop.
         size = 1 + exchange.sum(axis=1)
-        size[size == 1] = none
-        through = np.empty((len(size), count, groups), dtype=np.intp)
-        through[~inside[part]] = size.reshape(-1, groups)
-        through[inside[part]] = np.where(exchange, size[:, None], none).min(axis=2).reshape(-1, groups)
+        revmask = revbit[outside[part], None] + (exchange * revbit[sets[part], None, None]).sum(axis=1)
+        key = np.where(size > 1, size << count | low - revmask, none)
+        through = np.empty((len(key), count, groups), dtype=np.int64)
+        through[~inside[part]] = key.reshape(-1, groups)
+        through[inside[part]] = np.where(exchange, key[:, None], none).min(axis=2).reshape(-1, groups)
         np.minimum(best, through.min(axis=0), out=best)
     solved = pending & agree & (best < none)
-    sizes[solved] = best[solved]
-    return sizes
+    keys[solved] = best[solved]
+    return keys
+
+
+def _circuit(core: np.ndarray, key: int) -> tuple[int, ...]:
+    """The attack-set positions of the circuit of ``circuit_keys`` key ``key`` in ``core``."""
+    count = len(core)
+    revmask = ~key & (1 << count) - 1
+    return tuple(k for i, k in enumerate(core.tolist()) if revmask >> (count - 1 - i) & 1)
 
 
 def _linking_ranks(graph: AttackGraph) -> Callable[[np.ndarray], np.ndarray]:
-    """``redundancy_sweep``'s rank: the linking size to the sensors, G = F = 1."""
+    """``circuit_keys``' rank: the linking size to the sensors, G = F = 1."""
     attack_set, targets = graph.attack_set, graph.targets
 
     def rank(sets: np.ndarray) -> np.ndarray:
@@ -389,6 +399,43 @@ def _linking_ranks(graph: AttackGraph) -> Callable[[np.ndarray], np.ndarray]:
         return np.array(sizes, dtype=np.intp).reshape(len(sizes), 1, 1)
 
     return rank
+
+
+def _witnesses(graph: AttackGraph, cap: int, member: int | None = None) -> list[tuple[int, ...] | None]:
+    """Each attack-set position's witness positions, None for an infinite index.
+
+    The settle step ranks the singles, A and its deletions; a loop is its
+    own witness and a coloop has none.  The core, of c columns, has rank
+    r(A) less the number of coloops, with no flow.  At nullity 1 (r = c - 1)
+    the core holds one circuit, since B + e does for a basis B and the one
+    column e outside it, and no core column is a coloop: the whole core is
+    every member's witness.  Otherwise ``circuit_keys`` gives each member's
+    lexicographically first smallest circuit; linking sizes are the ranks
+    of a matroid, so it resolves every core column.  With ``member`` given,
+    the search stops once that position is resolved, and only its entry
+    is sure to be filled.
+    """
+    width = len(graph.attack_set)
+    if width > cap:
+        raise EnumerationCapError(width, cap)
+    if not width:
+        return []
+    rank = _linking_ranks(graph)
+    singles = rank(np.arange(width)[:, None])
+    full, deletions = settle_ranks(width, rank)
+    infinite, single, in_core = classify_columns(singles, deletions, full)
+    found: list[tuple[int, ...] | None] = [(k,) if single[k, 0] else None for k in range(width)]
+    core = in_core[:, 0].nonzero()[0]
+    r = int(full[0, 0, 0]) - int(infinite.sum())
+    if len(core) == r + 1:
+        circuits = [tuple(core.tolist())] * len(core)
+    else:
+        wanted = slice(None) if member is None else core == member
+        keys = circuit_keys(lambda sets: rank(core[sets]), singles[core], r, wanted)[:, 0]
+        circuits = [_circuit(core, key) if key else None for key in keys.tolist()]
+    for k, circuit in zip(core.tolist(), circuits):
+        found[k] = circuit
+    return found
 
 
 def _result(graph: AttackGraph, member: int, positions: tuple[int, ...] | None) -> SecurityIndexResult:
@@ -404,30 +451,32 @@ def _result(graph: AttackGraph, member: int, positions: tuple[int, ...] | None) 
 def security_index(
     graph: AttackGraph, component: VertexId, cap: int = DEFAULT_SUBSET_CAP
 ) -> SecurityIndexResult:
-    """Index of one component, by ``redundancy_sweep`` over linking sizes.
+    """Index of one component, read off the same search as ``all_indices``.
 
     A coloop of the gammoid gets an infinite index and no witness, and a
-    loop index 1 with the component alone as witness; otherwise the core
-    is swept up to the component's own index.  A dangling actuator, which
-    violates the non-degeneracy assumptions, is a loop and gets index 1.
-    Raises ``EnumerationCapError`` when the attack set is wider than
-    ``cap``.
+    loop index 1 with the component alone as witness; a core member gets
+    its smallest circuit, from level r of the core, or from the guard's low
+    levels, which stop once they resolve it.  A dangling actuator,
+    which violates the non-degeneracy assumptions, is a loop and gets
+    index 1.  Raises ``EnumerationCapError`` when the attack set is wider
+    than ``cap``.
     """
     attack_set = graph.attack_set
     if component not in attack_set:
         raise UnknownVertexError(f"not an attackable component: {graph.name_of(component)}")
     member = attack_set.index(component)
-    ((positions,),) = redundancy_sweep(len(attack_set), _linking_ranks(graph), (member,), cap)
-    return _result(graph, member, positions)
+    return _result(graph, member, _witnesses(graph, cap, member)[member])
 
 
 def all_indices(graph: AttackGraph, cap: int = DEFAULT_SUBSET_CAP) -> IndexReport:
-    """Indices for every attackable component, in attack-set order, from one sweep.
+    """Indices for every attackable component, in attack-set order, from one search.
 
-    Raises ``EnumerationCapError`` when the attack set is wider than ``cap``.
+    The settle step settles loops and coloops; each core member's index
+    and witness is its lexicographically first smallest circuit, the whole
+    core at nullity 1 and otherwise from ``circuit_keys``.  Raises
+    ``EnumerationCapError`` when the attack set is wider than ``cap``.
     """
-    width = len(graph.attack_set)
-    (found,) = redundancy_sweep(width, _linking_ranks(graph), range(width), cap)
+    found = _witnesses(graph, cap)
     return IndexReport(graph=graph, results=tuple(_result(graph, k, p) for k, p in enumerate(found)))
 
 

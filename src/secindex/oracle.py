@@ -20,23 +20,25 @@ chunk under the first realization and frequency, and one more for the
 sets still below their shape cap, min(sensors, columns), under the rest.
 
 Index vectors rest on the thresholded ranks behaving as the rank
-functions of matroids, as exact ranks do.  The settle step of
-``index.redundancy_sweep`` ranks the single columns, the whole attack set
+functions of matroids, as exact ranks do.  The settle step
+(``index.settle_ranks``) ranks the single columns, the whole attack set
 and each set missing one column (none when the attack set is
 independent) under every realization; a realization whose frequencies
 agree on all of them has its loops (index 1), coloops (infinite) and
 core, of rank r = r(A) less its number of coloops.  Every index in a
 core of rank r is at most r + 1, and is the size of the smallest circuit
 through the column, a fundamental circuit of a basis in level r (the
-r-subsets of the core).  ``index.circuit_sizes`` reads it off level r,
-ranked once under all the realizations that share a core and r; a guard
-sweeps the cheap low levels bottom-up first, while they hold no more
-sets than level r, so the parallel pairs whose indices are 2 never rank
-level r.  A realization whose frequencies disagree on the settle step or
-on level r, or with a core column on no fundamental circuit, is swept
-bottom-up by ``index.redundancy_sweep`` instead.  At the default
-tolerance every answer equals the sweep's; a tolerance so coarse that the
-ranks are not a matroid's, such as 0.5, can change a few of them.
+r-subsets of the core).  ``index.circuit_keys``, which the structural
+route runs too, reads it off level r (``key >> c`` for a core of c
+columns), ranked once under all the realizations that share a core and
+r; a guard sweeps the cheap low levels bottom-up first, while they hold
+fewer sets than level r, so the parallel pairs whose indices are 2 never
+rank level r.  A realization whose frequencies disagree on the settle
+step or on level r, or with a core column on no fundamental circuit, is
+swept bottom-up by ``index.redundancy_sweep`` instead, from the settle
+ranks already taken.  At the default tolerance every answer equals the
+sweep's; a tolerance so coarse that the ranks are not a matroid's, such
+as 0.5, can change a few of them.
 ``numeric_index_vector`` is the one-realization case and
 ``numeric_index_vectors`` the batched one, which takes its seeds in
 blocks of ``SEED_BLOCK``.
@@ -67,7 +69,7 @@ from secindex.index import (
     INFINITE,
     EnumerationCapError,
     all_indices,
-    circuit_sizes,
+    circuit_keys,
     classify_columns,
     redundancy_sweep,
     settle_ranks,
@@ -449,10 +451,11 @@ def _index_vectors(
     under every realization.  A realization whose frequencies agree there
     has its loops (index 1), coloops (infinite) and core, of rank r(A)
     less its number of coloops; realizations with the same core and r
-    share one ``circuit_sizes`` call, whose ranks take all of them at
-    once.  A realization whose frequencies disagree on the settle step,
-    or with a core column ``circuit_sizes`` leaves unresolved, is swept by
-    ``redundancy_sweep`` with the other such realizations.
+    share one ``circuit_keys`` call, whose ranks take all of them at
+    once, and read each index off its key.  A realization whose
+    frequencies disagree on the settle step, or with a core column
+    ``circuit_keys`` leaves unresolved, is swept by ``redundancy_sweep``
+    with the other such realizations, from their settle ranks.
     """
     R, _, width = stack.B_a.shape
     if not width:
@@ -484,14 +487,15 @@ def _index_vectors(
     swept = (~agree).nonzero()[0].tolist()
     for (_, r), members in buckets.items():
         core = in_core[:, members[0]].nonzero()[0]
-        sizes = circuit_sizes(rank(members, core), singles[core][:, members], r)
+        sizes = circuit_keys(rank(members, core), singles[core][:, members], r) >> len(core)
         for g, column in zip(members, sizes.T.tolist()):
             if 0 in column:
                 swept.append(g)
             for k, size in zip(core.tolist(), column):
                 vectors[g][k] = size
     if swept:
-        found = redundancy_sweep(width, rank(swept, every), range(width), cap)
+        settled = (ranks[:, swept] for ranks in (singles, full, deletions))
+        found = redundancy_sweep(rank(swept, every), *settled)
         for g, group in zip(swept, found):
             vectors[g] = [INFINITE if positions is None else len(positions) for positions in group]
     return tuple(tuple(vector) for vector in vectors)
@@ -513,7 +517,7 @@ def numeric_index_vector(
     coloops are settled from the ranks of the single columns, of the whole
     attack set and of each set missing one column.  When the frequencies
     agree on these, the core left, of rank r, is answered by
-    ``index.circuit_sizes``: bottom-up levels while they are cheaper than
+    ``index.circuit_keys``: bottom-up levels while they are cheaper than
     level r, then each column's smallest fundamental circuit among the
     bases of level r.  Otherwise, or when the frequencies disagree on
     level r or a column lies on no fundamental circuit, the core is swept
@@ -539,7 +543,7 @@ def numeric_index_vectors(
     ``SEED_BLOCK`` seeds: one eigenvalue call and one solve per block.
     The settle step ranks each set under every realization of the block
     at once; each level of a core is ranked once under all the block's
-    realizations with that core and core rank (``index.circuit_sizes``),
+    realizations with that core and core rank (``index.circuit_keys``),
     and the realizations left to ``redundancy_sweep`` share one sweep.
     Each realization is answered on its own ranks, so every vector equals
     the one-realization result, and memory does not grow with the number

@@ -3,30 +3,32 @@
 ``first_redundant_subset`` is the plain sweep: it tries every subset
 holding one position, by size and then lexicographically, until one passes
 a test.  ``security_index`` and ``numeric_witness`` run it, so the
-library's level sweep of the core must find the same witnesses.  Every
-linking query builds its own split network from scratch, with
+library's search of the core from level r must find the same witnesses.
+Every linking query builds its own split network from scratch, with
 exactly the super-source and super-sink edges it needs, and runs
-``_Dinic`` on it.  Nothing is shared between queries, so the library's
+``_Dinic`` on it.  No network is shared between queries, so the library's
 one-network-per-graph path and its size memo must agree with these
-functions exactly, down to the witness paths.  The generic normal rank of
-one column set is the public ``transfer_rank`` maximized over freshly
-drawn realizations and the probe's frequencies, so the library's batched
-rank must agree with it set by set.  A realization's indices rank each
-subset with one ``transfer_rank`` call per probe frequency, so the
-library's reduced, level-at-a-time sweep must agree with them exactly;
-``numeric_witness`` also gives the witness behind each index.
-``swept_index_vectors`` answers every realization of a stack by one
-``redundancy_sweep``, level after level up to the largest index, where the
-library reads most of them off level r of each core.  ``rank`` is
-the one-matrix rank rule the stacked kernel must reproduce,
-``transfer_matrices`` solves one frequency at a time where the library
-solves them all at once, and ``pencil_rank`` checks ``transfer_rank``
-through the system pencil.  ``sample_realization`` draws each free
-parameter with two scalar generator calls, where the library draws a
-whole stack of realizations from one array call per seed, and
-``probe_frequencies`` resamples one realization's colliding frequencies
-one at a time, where the library finds the colliding realizations of a
-stack with one eigenvalue call.
+functions exactly, down to the witness paths; ``security_indices`` runs
+``security_index`` for every component of a graph with one memo of these
+fresh-network sizes, which keeps the plain sweep affordable at widths
+12-14.  The generic normal rank of one column set is the public
+``transfer_rank`` maximized over freshly drawn realizations and the
+probe's frequencies, so the library's batched rank must agree with it set
+by set.  A realization's indices rank each subset with one
+``transfer_rank`` call per probe frequency, so the library's reduced,
+level-at-a-time sweep must agree with them exactly; ``numeric_witness``
+also gives the witness behind each index.  ``swept_index_vectors``
+answers every realization of a stack by one ``redundancy_sweep``, level
+after level up to the largest index, where the library reads most of them
+off level r of each core.  ``rank`` is the one-matrix rank rule the
+stacked kernel must reproduce, ``transfer_matrices`` solves one frequency
+at a time where the library solves them all at once, and ``pencil_rank``
+checks ``transfer_rank`` through the system pencil.
+``sample_realization`` draws each free parameter with two scalar
+generator calls, where the library draws a whole stack of realizations
+from one array call per seed, and ``probe_frequencies`` resamples one
+realization's colliding frequencies one at a time, where the library
+finds the colliding realizations of a stack with one eigenvalue call.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from secindex.index import DEFAULT_SUBSET_CAP, INFINITE, SecurityIndexResult, redundancy_sweep
+from secindex.index import INFINITE, SecurityIndexResult, redundancy_sweep, settle_ranks
 from secindex.linking import Linking, _Dinic
 from secindex.model import AttackGraph, StructuredSystem, VertexId
 from secindex.oracle import (
@@ -124,24 +126,41 @@ def find_max_linking(
     return Linking(paths)
 
 
-def security_index(graph: AttackGraph, component: VertexId) -> SecurityIndexResult:
-    """One component's index, with two fresh-network flows per subset."""
+def security_index(
+    graph: AttackGraph, component: VertexId, sizes: dict[frozenset, int] | None = None
+) -> SecurityIndexResult:
+    """One component's index by the plain sweep, with a fresh-network flow per subset.
+
+    ``sizes`` keeps each subset's linking size once it is taken; one dict
+    shared by the calls for a graph runs each subset's flow once.
+    """
     attack_set = graph.attack_set
+    sizes = {} if sizes is None else sizes
+
+    def size(subset: frozenset) -> int:
+        if subset not in sizes:
+            sizes[subset] = max_linking_size(graph, subset, graph.targets)
+        return sizes[subset]
 
     def avoidable(positions: tuple[int, ...]) -> bool:
-        subset = {attack_set[k] for k in positions}
-        full = max_linking_size(graph, subset, graph.targets)
-        return full == max_linking_size(graph, subset - {component}, graph.targets)
+        subset = frozenset(attack_set[k] for k in positions)
+        return size(subset) == size(subset - {component})
 
-    size, positions, examined = first_redundant_subset(
+    index, positions, examined = first_redundant_subset(
         len(attack_set), attack_set.index(component), avoidable
     )
     return SecurityIndexResult(
         component=component,
-        index=size,
+        index=index,
         witness=None if positions is None else tuple(attack_set[k] for k in positions),
         subsets_examined=examined,
     )
+
+
+def security_indices(graph: AttackGraph) -> tuple[SecurityIndexResult, ...]:
+    """``security_index`` of every attack component, in attack-set order, sharing one size memo."""
+    sizes: dict[frozenset, int] = {}
+    return tuple(security_index(graph, component, sizes) for component in graph.attack_set)
 
 
 def sample_realization(system: StructuredSystem, seed: int) -> Realization:
@@ -248,9 +267,12 @@ def swept_index_vectors(
     if not width:
         return ((),) * len(seeds)
     transfer = _transfers(_Stack.drawn(system, seeds), probe, seeds)
-    found = redundancy_sweep(
-        width, lambda sets: _column_ranks(transfer, sets, probe.tolerance), range(width), DEFAULT_SUBSET_CAP
-    )
+
+    def rank(sets: np.ndarray) -> np.ndarray:
+        return _column_ranks(transfer, sets, probe.tolerance)
+
+    singles = rank(np.arange(width)[:, None])
+    found = redundancy_sweep(rank, singles, *settle_ranks(width, rank))
     return tuple(tuple(INFINITE if p is None else len(p) for p in group) for group in found)
 
 

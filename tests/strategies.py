@@ -1,4 +1,4 @@
-"""Hypothesis strategies for random digraphs and sparsity patterns."""
+"""Hypothesis strategies for random digraphs and sparsity patterns, and fixed families of systems."""
 
 from __future__ import annotations
 
@@ -121,4 +121,35 @@ def systems_with_loops_and_coloops(draw, max_extra: int = 2):
         | {(f"v{k}", f"s{k}") for k in range(silent)}
         | {(f"w{k}", f"p{k}") for k in range(private)},
         c_edges=base.c_edges | {(f"p{k}", f"z{k}") for k in range(private)},
+    )
+
+
+def parallel_pairs(h):
+    """h states, each driven by two actuators and read by its own protected sensor.
+
+    The core is all 2h actuators, of rank h, and every index is 2.
+    """
+    states = [f"x{k}" for k in range(1, h + 1)]
+    return StructuredSystem(
+        states=states,
+        actuators=[f"u{k}" for k in range(1, 2 * h + 1)],
+        sensors=[Sensor(f"y{k}", True) for k in range(1, h + 1)],
+        b_edges=[(f"u{k}", states[(k - 1) // 2]) for k in range(1, 2 * h + 1)],
+        c_edges=[(x, f"y{k}") for k, x in enumerate(states, 1)],
+    )
+
+
+def everyone_reads_everything(width, sensors):
+    """``width`` actuators on their own states, each read by all ``sensors`` protected sensors.
+
+    The core is every actuator, of rank ``sensors``, and every index is
+    ``sensors`` + 1.
+    """
+    states = [f"x{k}" for k in range(1, width + 1)]
+    return StructuredSystem(
+        states=states,
+        actuators=[f"u{k}" for k in range(1, width + 1)],
+        sensors=[Sensor(f"y{k}", True) for k in range(1, sensors + 1)],
+        b_edges=[(f"u{k}", x) for k, x in enumerate(states, 1)],
+        c_edges=[(x, f"y{k}") for x in states for k in range(1, sensors + 1)],
     )

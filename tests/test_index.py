@@ -11,17 +11,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from secindex.index import (
-    DEFAULT_SUBSET_CAP,
     INFINITE,
     EnumerationCapError,
     all_indices,
-    circuit_sizes,
+    circuit_keys,
     is_generically_left_invertible,
     plain_sweep_count,
     redundancy_sweep,
     security_index,
+    settle_ranks,
 )
-from secindex.io import emit_report
+from secindex.io import emit_report, parse_system
 from secindex.linking import _flows_for, max_linking_size, saturated_by_all_max_linkings
 from secindex.model import (
     Sensor,
@@ -33,7 +33,8 @@ from secindex.model import (
 from . import reference
 from .bruteforce import brute_force_max_linking
 from .reference import first_redundant_subset
-from .strategies import structured_systems, systems_with_loops_and_coloops
+from .strategies import parallel_pairs, structured_systems, systems_with_loops_and_coloops
+from .test_catalog import generate
 
 
 def by_name(graph, report):
@@ -232,11 +233,11 @@ def reference_core(graph):
 
 
 def swept_sets(graph, call):
-    """``call()``'s result and the attack subsets its sweep ranked.
+    """``call()``'s result and the attack subsets its core search ranked.
 
     Every linking size ``index`` asks for is recorded.  The first sets
     must be the settle step's: each singleton, the attack set A, then each
-    A minus one component unless r(A) = w.  The rest are the sweep's.
+    A minus one component unless r(A) = w.  The rest are the core's.
     """
     ranked = []
 
@@ -255,29 +256,38 @@ def swept_sets(graph, call):
     return result, ranked[len(settle) :]
 
 
-def assert_sweeps_core_levels(swept, core, indices):
-    """The sweep stays in the core and ranks exactly the levels it needs.
+def assert_ranks_within_the_cheaper_route(graph, swept, core, indices):
+    """The core search stays in the core and ranks at most twice the cheaper route's sets.
 
-    Those are sizes 2 up to the largest of ``indices`` (the wanted core
-    components' indices), or up to one below the core's size, which is
-    never ranked.  So a core of 3 or more members is always swept.
+    The bottom-up sweep would rank sizes 2 up to the largest of
+    ``indices`` (the asked core components' indices), or up to one below
+    the core's size; level r holds C(c, r) sets.  With no core component
+    asked, or a core of nullity 1 (rank c - 1), which is one circuit,
+    nothing is ranked past the settle step.
     """
     assert all(subset <= core for subset in swept)
-    top = min(max(indices, default=0), len(core) - 1)
-    assert {len(subset) for subset in swept} == set(range(2, top + 1))
+    if not indices:
+        assert not swept
+        return
+    c, r = len(core), reference.max_linking_size(graph, core, graph.targets)
+    if r == c - 1:
+        assert not swept
+    top = min(max(indices), c - 1)
+    sweep = sum(math.comb(c, size) for size in range(2, top + 1))
+    assert len(swept) <= 2 * min(sweep, math.comb(c, r))
 
 
 def reduced_indices(graph):
-    """``all_indices(graph)``, checking that its sweep stays in the core."""
+    """``all_indices(graph)``, checking that its core search stays in the core and its bound."""
     report, swept = swept_sets(graph, lambda: all_indices(graph))
     core = reference_core(graph)
-    assert_sweeps_core_levels(swept, core, [r.index for r in report.results if r.component in core])
+    indices = [r.index for r in report.results if r.component in core]
+    assert_ranks_within_the_cheaper_route(graph, swept, core, indices)
     return report
 
 
 def assert_matches_plain_sweep(graph):
-    expected = tuple(reference.security_index(graph, c) for c in graph.attack_set)
-    assert reduced_indices(graph).results == expected
+    assert reduced_indices(graph).results == reference.security_indices(graph)
 
 
 @given(structured_systems())
@@ -307,14 +317,15 @@ def test_reduced_search_matches_plain_sweep_on_wide_systems(seed, q, indices):
 
 @given(st.one_of(structured_systems(), systems_with_loops_and_coloops()))
 def test_one_component_search_matches_all_indices(system):
-    # ``security_index`` sweeps for its component alone and stops at its index.
+    # ``security_index`` runs the search of ``all_indices`` until its own
+    # component is resolved.
     graph = build_attack_graph(system)
     report = all_indices(graph)
     core = reference_core(graph)
     for component, expected in zip(graph.attack_set, report.results):
         result, swept = swept_sets(graph, lambda: security_index(graph, component))
         assert result == expected
-        assert_sweeps_core_levels(swept, core, [result.index] if component in core else [])
+        assert_ranks_within_the_cheaper_route(graph, swept, core, [result.index] if component in core else [])
 
 
 @given(structured_systems(max_states=4, max_actuators=2, max_sensors=2))
@@ -354,12 +365,11 @@ def test_width_ten_search_matches_fresh_network_reference():
     assert len(graph.attack_set) == 10
     report = all_indices(graph)
     examined = sum(r.subsets_examined for r in report.results)
-    # The sweep ranks each core set at most once, and only up to the largest
-    # index, so far fewer linking sizes reach the memo than a plain sweep
-    # examines subsets.
+    # The core search ranks each core set at most once, so far fewer
+    # linking sizes reach the memo than a plain sweep examines subsets.
     assert len(_flows_for(graph).sizes) < examined
     assert {r.index for r in report.results} == {1, 3, INFINITE}
-    assert report.results == tuple(reference.security_index(graph, c) for c in graph.attack_set)
+    assert report.results == reference.security_indices(graph)
 
 
 def table_rank(tables):
@@ -378,10 +388,16 @@ def table_rank(tables):
     return rank
 
 
-def assert_groups_sweep_alone(width, tables, wanted):
+def sweep(width, tables):
+    """``redundancy_sweep`` of ``table_rank(tables)``, after its settle step."""
+    rank = table_rank(tables)
+    return redundancy_sweep(rank, rank(np.arange(width)[:, None]), *settle_ranks(width, rank))
+
+
+def assert_groups_sweep_alone(width, tables):
     """A sweep over all the groups answers each group as a sweep of that group alone."""
-    grouped = redundancy_sweep(width, table_rank(tables), wanted, DEFAULT_SUBSET_CAP)
-    alone = [redundancy_sweep(width, table_rank([t]), wanted, DEFAULT_SUBSET_CAP) for t in tables]
+    grouped = sweep(width, tables)
+    alone = [sweep(width, [t]) for t in tables]
     assert all(len(answer) == 1 for answer in alone)
     assert grouped == tuple(answer for (answer,) in alone)
     return grouped
@@ -405,7 +421,7 @@ def test_grouped_sweep_of_linking_ranks_equals_one_sweep_per_graph():
         )
     cores = {frozenset(graph.attack_set.index(v) for v in reference_core(graph)) for graph in graphs}
     assert len(cores) > 1 and max(len(core) for core in cores) >= 4
-    grouped = assert_groups_sweep_alone(width, tables, range(width))
+    grouped = assert_groups_sweep_alone(width, tables)
     for graph, found in zip(graphs, grouped):
         assert found == tuple(
             None if r.witness is None else tuple(graph.attack_set.index(v) for v in r.witness)
@@ -430,31 +446,46 @@ def test_grouped_sweep_of_non_matroid_ranks_equals_one_sweep_per_group(data):
         ]
         for _ in range(groups)
     ]
-    wanted = data.draw(
-        st.lists(st.integers(min_value=0, max_value=width - 1), min_size=1, unique=True), label="wanted"
-    )
-    assert_groups_sweep_alone(width, tables, wanted)
+    assert_groups_sweep_alone(width, tables)
 
 
 def members(mask):
     return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
-@given(st.one_of(structured_systems(max_states=4), systems_with_loops_and_coloops(max_extra=1)))
-def test_fundamental_circuits_of_level_r_bases_are_the_circuits(system):
-    # Exhaustive linking sizes of every attack subset, by bit mask.
-    graph = build_attack_graph(system)
-    width = len(graph.attack_set)
-    table = [
+def linking_table(graph):
+    """Exhaustive linking sizes of every attack subset, by bit mask of attack-set positions."""
+    return [
         brute_force_max_linking(graph.successors, [graph.attack_set[k] for k in members(mask)], graph.targets)
-        for mask in range(1 << width)
+        for mask in range(1 << len(graph.attack_set))
     ]
-    r = table[-1]
-    circuits = {
+
+
+def circuits_of(table):
+    """The circuits of the matroid with rank ``table``, as bit masks."""
+    return {
         mask
-        for mask in range(1, 1 << width)
+        for mask in range(1, len(table))
         if all(table[mask & ~(1 << k)] == len(members(mask)) - 1 == table[mask] for k in members(mask))
     }
+
+
+def table_core_rank(table, core):
+    """``circuit_keys``' rank over the ``core`` positions, from a linking table."""
+
+    def rank(sets):
+        masks = [sum(1 << core[k] for k in row) for row in sets.tolist()]
+        return np.array([table[mask] for mask in masks], dtype=np.intp).reshape(len(masks), 1, 1)
+
+    return rank
+
+
+@given(st.one_of(structured_systems(max_states=4), systems_with_loops_and_coloops(max_extra=1)))
+def test_fundamental_circuits_of_level_r_bases_are_the_circuits(system):
+    graph = build_attack_graph(system)
+    width = len(graph.attack_set)
+    table = linking_table(graph)
+    r = table[-1]
     bases = [mask for mask in range(1 << width) if len(members(mask)) == r == table[mask]]
     fundamental = {
         1 << e | sum(1 << j for j in members(basis) if table[basis & ~(1 << j) | 1 << e] == r)
@@ -462,20 +493,61 @@ def test_fundamental_circuits_of_level_r_bases_are_the_circuits(system):
         for e in range(width)
         if not basis >> e & 1
     }
-    assert fundamental == circuits
+    assert fundamental == circuits_of(table)
 
     # On the core, of rank r(A) less the coloops, the smallest of them
     # through each column is its index.
     every = (1 << width) - 1
     core = sorted(graph.attack_set.index(v) for v in reference_core(graph))
     coloops = sum(table[every ^ 1 << k] < r for k in range(width))
+    rank = table_core_rank(table, core)
+    keys = circuit_keys(rank, rank(np.arange(len(core))[:, None]), r - coloops)
+    assert (keys[:, 0] >> len(core)).tolist() == [all_indices(graph).results[k].index for k in core]
 
-    def rank(sets):
-        masks = [sum(1 << core[k] for k in row) for row in sets.tolist()]
-        return np.array([table[mask] for mask in masks], dtype=np.intp).reshape(len(masks), 1, 1)
 
-    sizes = circuit_sizes(rank, rank(np.arange(len(core))[:, None]), r - coloops)
-    assert sizes[:, 0].tolist() == [all_indices(graph).results[k].index for k in core]
+def assert_core_facts(graph):
+    """The core facts the structural route relies on, on exhaustive linking sizes.
+
+    The core's rank is r(A) less the number of coloops, with no flow; a
+    core of nullity 1 is a single circuit; and the least ``circuit_keys``
+    key through each core column is its lexicographically first smallest
+    circuit, which ``all_indices`` reports as its witness.
+    """
+    width = len(graph.attack_set)
+    table = linking_table(graph)
+    every = (1 << width) - 1
+    coloops = sum(table[every ^ 1 << k] < table[every] for k in range(width))
+    core = sorted(graph.attack_set.index(v) for v in reference_core(graph))
+    c, core_mask = len(core), sum(1 << k for k in core)
+    r = table[core_mask]
+    assert r == table[every] - coloops
+    if not c:
+        return
+    circuits = circuits_of(table)
+    if r == c - 1:
+        assert {mask for mask in circuits if mask & core_mask == mask} == {core_mask}
+    rank = table_core_rank(table, core)
+    keys = circuit_keys(rank, rank(np.arange(c)[:, None]), r)[:, 0].tolist()
+    results = all_indices(graph).results
+    for i, k in enumerate(core):
+        size, first = min((len(members(mask)), members(mask)) for mask in circuits if mask >> k & 1)
+        revmask = sum(1 << (c - 1 - core.index(j)) for j in first)
+        assert keys[i] == size << c | (1 << c) - 1 - revmask
+        assert results[k].witness == tuple(graph.attack_set[j] for j in first)
+
+
+@given(st.one_of(structured_systems(max_states=4), systems_with_loops_and_coloops(max_extra=1)))
+def test_core_rank_nullity_one_and_least_keys_on_brute_force_ranks(system):
+    assert_core_facts(build_attack_graph(system))
+
+
+@pytest.mark.parametrize("fixture", ["chain_graph", "collider_graph"])
+def test_fixture_cores_are_single_circuits(fixture, request):
+    # Both fixtures' cores have nullity 1: {u1, a_y1} and {u2, u3}, each of rank 1.
+    graph = request.getfixturevalue(fixture)
+    _, swept = swept_sets(graph, lambda: all_indices(graph))
+    assert swept == []
+    assert_core_facts(graph)
 
 
 def uniform_table(width, r):
@@ -484,15 +556,18 @@ def uniform_table(width, r):
 
 
 def test_circuit_sizes_of_uniform_matroids():
-    # Every r + 1 columns of U(r, c) form a circuit.  The guard sweeps
-    # level 2 of U(2, 4) (6 sets, as many as level r) and reuses it; U(3, 6)
-    # goes from level 2 (15 sets) to level 3 (20), and U(4, 5) ranks level
-    # 4 alone (5 sets, against 10 in level 2).
+    # Every r + 1 columns of U(r, c) form a circuit, so the lexicographically
+    # first one through column k is 0 .. r, or 0 .. r - 1 and k.  U(2, 4)
+    # ranks its level 2 once, as level r; U(3, 6) goes from level 2 (15
+    # sets) to level 3 (20), and U(4, 5) ranks level 4 alone (5 sets,
+    # against 10 in level 2).
     for width, r in ((4, 2), (6, 3), (5, 4)):
         table = uniform_table(width, r)
         rank = table_rank([table, table])
-        sizes = circuit_sizes(rank, rank(np.arange(width)[:, None]), r)
-        assert sizes.tolist() == [[r + 1, r + 1]] * width
+        keys = circuit_keys(rank, rank(np.arange(width)[:, None]), r)
+        first = [list(range(r + 1)) if k <= r else [*range(r), k] for k in range(width)]
+        expected = [(r + 1) << width | (1 << width) - 1 - sum(1 << (width - 1 - j) for j in c) for c in first]
+        assert keys.tolist() == [[key, key] for key in expected]
 
 
 def test_circuit_sizes_leave_non_matroid_groups_unresolved():
@@ -504,7 +579,45 @@ def test_circuit_sizes_leave_non_matroid_groups_unresolved():
     split = [(f, 1 if mask == 0b11 else f) for mask, (f, _) in enumerate(uniform)]
     rank = table_rank([uniform, split])
     singles = rank(np.arange(width)[:, None])
-    assert circuit_sizes(rank, singles, 2).tolist() == [[3, 0]] * width
+    assert (circuit_keys(rank, singles, 2) >> width).tolist() == [[3, 0]] * width
     # Taken to have rank 3, U(2, 4) has no basis in level 3, so no column
     # lies on a fundamental circuit.
-    assert circuit_sizes(rank, singles, 3).tolist() == [[0, 0]] * width
+    assert circuit_keys(rank, singles, 3).tolist() == [[0, 0]] * width
+
+
+def test_parallel_pairs_never_rank_level_r():
+    # Twelve actuators in six parallel pairs: the core is all of them, of
+    # rank 6, and every index is 2.  The guard's level 2 (66 sets) resolves
+    # every column, so level r (924 sets) is never ranked.
+    graph = build_attack_graph(parallel_pairs(6))
+    report, swept = swept_sets(graph, lambda: all_indices(graph))
+    assert [r.index for r in report.results] == [2] * 12
+    assert len(swept) == math.comb(12, 2)
+    assert report.results == reference.security_indices(graph)
+
+
+def hard_system(width, seed):
+    """A system of the "hard" family: width - 2 actuators and 2 of 6-10 sensors unprotected.
+
+    30-45 states of out-degree 2.5, drawn from ``random.Random(f"hard/{width}/{seed}")``
+    through the benchmark's document generator.
+    """
+    rng = random.Random(f"hard/{width}/{seed}")
+    n, m = rng.randint(30, 45), rng.randint(6, 10)
+    return parse_system(generate._document(rng, n, width - 2, m, 2, 2.5, f"hard width {width} seed {seed}"))
+
+
+@pytest.mark.parametrize(
+    "seed, indices",
+    [
+        (3, [6, 2, 2, 2, 6, 2, 3, 2, 5, 5, 2, 5, 6]),
+        (4, [7, 4, 7, 2, 2, 4, 4, 7, 7, 2, 7, 2, 7]),
+    ],
+)
+def test_level_r_matches_plain_sweep_on_hard_systems(seed, indices):
+    # Width 13: the whole attack set is the core, of rank 6 (1,716 sets in
+    # level r), and the indices reach r + 1.  These two seeds are the hard
+    # systems of width 12-14 whose plain sweep takes about a second or less.
+    graph = build_attack_graph(hard_system(13, seed))
+    assert [r.index for r in all_indices(graph).results] == indices
+    assert_matches_plain_sweep(graph)

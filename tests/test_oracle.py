@@ -32,7 +32,12 @@ from secindex.oracle import (
 
 from . import reference
 from .reference import pencil_rank
-from .strategies import structured_systems, systems_with_loops_and_coloops
+from .strategies import (
+    everyone_reads_everything,
+    parallel_pairs,
+    structured_systems,
+    systems_with_loops_and_coloops,
+)
 
 
 @pytest.fixture(scope="module")
@@ -563,8 +568,8 @@ def sweeps_recorded(monkeypatch):
     calls = []
     sweep = oracle.redundancy_sweep
 
-    def recorded(width, rank, wanted, cap):
-        found = sweep(width, rank, wanted, cap)
+    def recorded(rank, singles, full, deletions):
+        found = sweep(rank, singles, full, deletions)
         calls.append(len(found))
         return found
 
@@ -598,48 +603,17 @@ def test_unresolved_core_columns_take_the_sweep(monkeypatch, probe):
     system = random_structured_system(4, max_states=6)
     seeds = list(range(100, 106))
     expected = reference.swept_index_vectors(system, seeds, probe)
-    circuits = oracle.circuit_sizes
+    circuits = oracle.circuit_keys
 
     def first_unresolved(rank, singles, r):
-        sizes = circuits(rank, singles, r)
-        sizes[0, 0] = 0
-        return sizes
+        keys = circuits(rank, singles, r)
+        keys[0, 0] = 0
+        return keys
 
     calls = sweeps_recorded(monkeypatch)
-    monkeypatch.setattr(oracle, "circuit_sizes", first_unresolved)
+    monkeypatch.setattr(oracle, "circuit_keys", first_unresolved)
     assert numeric_index_vectors(system, seeds, probe) == expected
     assert calls and all(count == 1 for count in calls)
-
-
-def parallel_pairs(h):
-    """h states, each driven by two actuators and read by its own protected sensor.
-
-    The core is all 2h actuators, of rank h, and every index is 2.
-    """
-    states = [f"x{k}" for k in range(1, h + 1)]
-    return StructuredSystem(
-        states=states,
-        actuators=[f"u{k}" for k in range(1, 2 * h + 1)],
-        sensors=[Sensor(f"y{k}", True) for k in range(1, h + 1)],
-        b_edges=[(f"u{k}", states[(k - 1) // 2]) for k in range(1, 2 * h + 1)],
-        c_edges=[(x, f"y{k}") for k, x in enumerate(states, 1)],
-    )
-
-
-def everyone_reads_everything(width, sensors):
-    """``width`` actuators on their own states, each read by all ``sensors`` protected sensors.
-
-    The core is every actuator, of rank ``sensors``, and every index is
-    ``sensors`` + 1.
-    """
-    states = [f"x{k}" for k in range(1, width + 1)]
-    return StructuredSystem(
-        states=states,
-        actuators=[f"u{k}" for k in range(1, width + 1)],
-        sensors=[Sensor(f"y{k}", True) for k in range(1, sensors + 1)],
-        b_edges=[(f"u{k}", x) for k, x in enumerate(states, 1)],
-        c_edges=[(x, f"y{k}") for x in states for k in range(1, sensors + 1)],
-    )
 
 
 @pytest.mark.parametrize(
@@ -650,7 +624,7 @@ def test_level_r_ranks_at_most_twice_the_cheaper_route(monkeypatch, probe, syste
     # The sweep ranks levels 2 .. index and level r ranks C(c, r) sets;
     # the guard keeps the sets ranked within twice the smaller of the two.
     ranked = []
-    circuits = oracle.circuit_sizes
+    circuits = oracle.circuit_keys
 
     def counted(rank, singles, r):
         def counting(sets):
@@ -659,7 +633,7 @@ def test_level_r_ranks_at_most_twice_the_cheaper_route(monkeypatch, probe, syste
 
         return circuits(counting, singles, r)
 
-    monkeypatch.setattr(oracle, "circuit_sizes", counted)
+    monkeypatch.setattr(oracle, "circuit_keys", counted)
     calls = sweeps_recorded(monkeypatch)
     width = system.attack_width
     assert numeric_index_vectors(system, [1, 2], probe) == ((index,) * width,) * 2
