@@ -21,16 +21,17 @@ coloop lies on no circuit (infinite index), a loop is a circuit by itself
 less the number of coloops, and no smallest circuit through a core column
 holds any other column.  Every circuit is the fundamental circuit of a
 basis among the core's r-subsets (level r), so ``circuit_keys`` reads
-each core column's smallest circuit off level r, after a guard sweep of
-the low levels while they are cheaper.  Circuits are keyed by size, then
-lexicographically over attack-set positions, so each witness is the
-lexicographically smallest qualifying subset of minimal size.  A core of
-nullity 1 is a single circuit, which the structural route answers with
-no further rank.  ``redundancy_sweep`` ranks the core bottom-up, one
-subset size at a time, with the same witnesses; the oracle falls back on
-it for ranks that do not behave as a matroid's.  The cost is still
-combinatorial, which is why both routes refuse attack sets wider than
-their cap.
+each core column's smallest circuit off level r.  Circuits are keyed by
+size, then lexicographically over attack-set positions, so each witness
+is the lexicographically smallest qualifying subset of minimal size.  A
+core of nullity 1 is a single circuit, which the structural route
+answers with no further rank.  One loop ranks a core bottom-up, one
+subset size at a time from size 2, and keeps each column's least key
+(``_level_keys``): ``circuit_keys`` runs it while the low levels hold
+fewer sets than level r, and ``redundancy_sweep``, on which the oracle
+falls back for ranks that do not behave as a matroid's, runs it until
+every column is resolved.  The cost is still combinatorial, which is why
+both routes refuse attack sets wider than their cap.
 """
 
 from __future__ import annotations
@@ -144,20 +145,23 @@ def plain_sweep_count(width: int, member: int, positions: tuple[int, ...] | None
     return smaller + math.comb(n, k) - after
 
 
-def settle_ranks(width: int, rank: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks of the whole attack set A and of each A \\ {k}, (1, G, F) and (w, G, F).
+def settle_ranks(width: int, rank: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Ranks of each {k}, of the whole attack set A and of each A \\ {k}.
 
-    ``rank`` is ``redundancy_sweep``'s.  When r(A) = w under every function,
-    the w deletions are not ranked: r(A \\ {k}) <= w - 1 for any rank with
+    ``rank`` is ``redundancy_sweep``'s; the three arrays are (w, G, F),
+    (1, G, F) and (w, G, F), in ``redundancy_sweep``'s argument order, and
+    the singles are ranked first.  When r(A) = w under every function, the
+    w deletions are not ranked: r(A \\ {k}) <= w - 1 for any rank with
     r(S) <= |S| (linking sizes, SVD counts), so every column is a coloop,
     and w - 1 stands in for each of their ranks.
     """
     every = np.arange(width)
+    singles = rank(every[:, None])
     full = rank(every[None, :])
     if (full == width).all():
-        return full, np.broadcast_to(full - 1, (width, *full.shape[1:]))
+        return singles, full, np.broadcast_to(full - 1, (width, *full.shape[1:]))
     rest = np.arange(width - 1)
-    return full, rank(rest + (rest >= every[:, None]))  # row k: every position but k
+    return singles, full, rank(rest + (rest >= every[:, None]))  # row k: every position but k
 
 
 def redundancy_sweep(
@@ -171,38 +175,38 @@ def redundancy_sweep(
     ``rank(sets)`` takes N equal-size sets of attack-set positions, one
     sorted row each of an (N, s) array, and returns their ranks as an
     (N, G, F) array: G independent groups (realizations) of F rank
-    functions each.  ``singles``, ``full`` and ``deletions`` are the settle
-    step's ranks under the same groups: of each {k}, (w, G, F), and those
-    ``settle_ranks`` gives of the whole attack set A and of each A \\ {k}.
-    Each group gets its own answer, one entry per position, as if swept
-    alone.  A subset S holding k is redundant for k in a group when S and
-    S \\ {k} have equal ranks under each of its functions.  The settle ranks
-    are classified by ``classify_columns``: a loop's subset is (k,), and a
-    coloop under some function or a column outside the core has none
-    (None).  The union of the groups' cores is then ranked one size level
-    at a time from size 2, each set compared with its subsets one member
-    smaller in the level below.  A group takes only sets inside its own
-    core: a column is resolved at the first level where such a set holding
-    it is redundant for it, and its witness is the first such set.  The
-    sweep stops once every group has resolved every core column.  A column
-    that is a coloop under none of its group's functions is redundant in
-    that group's core itself, so one still pending after the last level
-    gets its group's whole core.  These rules give each group the answer
-    of a sweep of its own core, even when its ranks are not those of a
-    matroid, which is why the numerical oracle falls back on it.  A lone
-    sweep stops below its core's size and gives a column still pending the
-    whole core; at that size and above, the only set inside the core is
-    the core itself, so the union's longer sweep gives the same.
+    functions each.  ``singles``, ``full`` and ``deletions`` are the ranks
+    ``settle_ranks`` gives under the same groups: of each {k}, of the whole
+    attack set A and of each A \\ {k}.  Each group gets its own answer, one
+    entry per position, as if swept alone.  A subset S holding k is
+    redundant for k in a group when S and S \\ {k} have equal ranks under
+    each of its functions.  The settle ranks are classified by
+    ``classify_columns``: a loop's subset is (k,), and a coloop under some
+    function or a column outside the core has none (None).  The union of
+    the groups' cores is then ranked bottom-up by ``_level_keys``, with no
+    budget: a group takes only sets inside its own core, and a column's
+    subset is the least key's, the first redundant set of the first level
+    holding one.  A column that is a coloop under none of its group's
+    functions is redundant in that group's core itself, so one still
+    pending after the last level gets its group's whole core.  These rules
+    give each group the answer of a sweep of its own core, even when its
+    ranks are not those of a matroid, which is why the numerical oracle
+    falls back on it.  A lone sweep stops below its core's size and gives
+    a column still pending the whole core; at that size and above, the
+    only set inside the core is the core itself, so the union's longer
+    sweep gives the same.
     """
     width, groups = singles.shape[:2]
     infinite, single, in_core = classify_columns(singles, deletions, full)
     found: list[list[tuple[int, ...] | None]] = [[None] * width for _ in range(groups)]
     for k, g in zip(*(axis.tolist() for axis in single.nonzero())):
         found[g][k] = (k,)
-
     core = in_core.any(axis=1).nonzero()[0]
-    if len(core):
-        _sweep_core(rank, core, in_core[core], infinite[core], singles[core], found)
+    own = in_core[core]
+    pending = own & ~infinite[core]
+    keys = _level_keys(lambda s: rank(core[s]), singles[core], own, pending)
+    for k, g, key in zip(*(axis.tolist() for axis in pending.nonzero()), keys[pending].tolist()):
+        found[g][core[k]] = _circuit(core, key) if key else tuple(core[own[:, g]].tolist())
     return tuple(tuple(answers) for answers in found)
 
 
@@ -213,13 +217,6 @@ def _lex_sets(count: int, size: int) -> np.ndarray:
         dtype=np.intp,
         count=math.comb(count, size) * size,
     ).reshape(-1, size)
-
-
-def _first_row(count: int) -> np.ndarray:
-    """A set's row in its level, by bit mask, filled for level 1 of ``count`` columns."""
-    row = np.empty(1 << count, dtype=np.intp)
-    row[1 << np.arange(count)] = np.arange(count)
-    return row
 
 
 def _next_level(
@@ -254,47 +251,48 @@ def _next_level(
     return sets, level, redundant
 
 
-def _sweep_core(
+def _level_keys(
     rank: Callable[[np.ndarray], np.ndarray],
-    core: np.ndarray,
-    own: np.ndarray,
-    infinite: np.ndarray,
     singles: np.ndarray,
-    found: list[list[tuple[int, ...] | None]],
-) -> None:
-    """``redundancy_sweep``'s level sweep of the union ``core`` of the groups' cores.
+    own: np.ndarray,
+    pending: np.ndarray | slice,
+    budget: float = math.inf,
+) -> np.ndarray:
+    """Least key of a redundant set through each column, per group, from levels 2, 3, ...
 
-    ``own[c, g]`` tells whether core column c is in group g's own core,
-    ``infinite`` and ``singles`` are the core's rows of the settle step,
-    and each witness found is stored as ``found[g][position]``.
+    ``rank`` takes sets of positions in range(c), ``singles`` holds their
+    ranks, (c, G, F), ``own[k, g]`` tells whether column k is in group g's
+    own core, and ``pending`` indexes the (c, G) keys still to resolve: a
+    (c, G) mask, or a mask or slice over the columns.
+    A set is redundant for a member k in group g when it lies inside g's
+    own core and has the ranks of itself less k under each of g's
+    functions.  Levels are ranked bottom-up until every pending column
+    has a key, or until the sets ranked, with the next level, would reach
+    ``budget``; the last level ranked is at most c - 1.  Keys are
+    ``circuit_keys``', and each column keeps its least one: keys grow with
+    the level, and within a level the least key is the lexicographically
+    first set.  Returns (c, G) keys, 0 where no redundant set was found.
     """
-    groups = own.shape[1]
-    members = core.tolist()
-    shared = own.all()  # every group's core is the union, as with G = 1
-    # [c * G + g]: core column c is still to resolve in group g.
-    pending = (own & ~infinite).ravel()
-    below = singles  # the core's level 1
-    row = _first_row(len(core))
-    for size in range(2, len(core)):
-        if not pending.any():
+    count, groups = singles.shape[:2]
+    low = (1 << count) - 1
+    revbit = 1 << (count - 1 - np.arange(count, dtype=np.int64))
+    none = (count + 1) << count  # above every set's key
+    best = np.full((count, groups), none)
+    shared = own.all()  # every group's core is the whole range, as with G = 1
+    row = np.empty(1 << count, dtype=np.intp)  # a set's row in its level, by bit mask
+    row[1 << np.arange(count)] = np.arange(count)
+    below, ranked = singles, 0
+    for size in range(2, count):
+        ranked += math.comb(count, size)
+        if (best[pending] < none).all() or ranked >= budget:
             break
-        sets, below, redundant = _next_level(lambda s: rank(core[s]), len(core), size, below, row)
+        sets, below, redundant = _next_level(rank, count, size, below, row)
         if not shared:
             redundant &= own[sets].all(axis=1)[:, None, :]
         rows, places, owners = redundant.nonzero()
-        keys = sets[rows, places] * groups + owners
-        # Rows come in lexicographic order, so the first row redundant for
-        # a column in a group is its witness there.
-        first = np.full(len(pending), len(sets))
-        np.minimum.at(first, keys, rows)
-        hits = (pending & (first < len(sets))).nonzero()[0]
-        for key, n in zip(hits.tolist(), first[hits].tolist()):
-            k, g = divmod(key, groups)
-            found[g][members[k]] = tuple(core[sets[n]].tolist())
-        pending[keys] = False
-    for key in pending.nonzero()[0].tolist():
-        k, g = divmod(key, groups)
-        found[g][members[k]] = tuple(core[own[:, g]].tolist())
+        set_keys = size << count | low - revbit[sets].sum(axis=1)
+        np.minimum.at(best, (sets[rows, places], owners), set_keys[rows])
+    return np.where(best < none, best, 0)
 
 
 def circuit_keys(
@@ -315,16 +313,17 @@ def circuit_keys(
     circuit, and of two circuits of one size the lexicographically first,
     so the least key through a column is its index (``key >> c``) and its
     witness.  The answer comes from the cheaper of two exact routes for a
-    matroid with no loop or coloop.  The guard sweep ranks levels 2, 3,
-    ... bottom-up and resolves a column at the first level holding a
-    redundant set through it, as ``redundancy_sweep`` does, with the first
-    such set.  Level r gives every circuit: for a basis B (an r-set of
-    rank r) and e outside it, B + e holds one circuit, the fundamental
-    circuit C(e, B) = {e} + {j in B : B - j + e is a basis}, and every
-    circuit is one of these (Oxley, *Matroid Theory*, ch. 1).  The sweep
-    runs while the sets it has ranked, with the next level, stay fewer
-    than the C(c, r) sets of level r; the columns still pending then take
-    their least key over the fundamental circuits of level r.  So the sets
+    matroid with no loop or coloop.  The guard is ``redundancy_sweep``'s
+    bottom-up loop (``_level_keys``), with a budget: it ranks levels 2, 3,
+    ... and keeps each column's least key over the redundant sets through
+    it, the first such set of the first level holding one.  Level r gives
+    every circuit: for a basis B (an r-set of rank r) and e outside it,
+    B + e holds one circuit, the fundamental circuit
+    C(e, B) = {e} + {j in B : B - j + e is a basis}, and every circuit is
+    one of these (Oxley, *Matroid Theory*, ch. 1).  The guard runs while
+    the sets it has ranked, with the next level, stay fewer than the
+    C(c, r) sets of level r; the columns still pending then take their
+    least key over the fundamental circuits of level r.  So the sets
     ranked are at most twice those of the cheaper route; at a tie level r
     is ranked, since it settles every column.  A group whose F functions
     disagree on some level-r set, or a pending column on no fundamental
@@ -332,37 +331,25 @@ def circuit_keys(
     and only a full sweep defines its answer.
     """
     count, groups = singles.shape[:2]
-    keys = np.zeros((count, groups), dtype=np.int64)
     if not 0 < r < count:
+        return np.zeros((count, groups), dtype=np.int64)
+    keys = _level_keys(rank, singles, np.ones((count, groups), dtype=bool), wanted, math.comb(count, r))
+    pending = keys == 0
+    if not pending[wanted].any():
         return keys
     low = (1 << count) - 1
     revbit = 1 << (count - 1 - np.arange(count, dtype=np.int64))
     none = (count + 1) << count  # above every circuit's key
     best = np.full((count, groups), none)
-    budget = math.comb(count, r)
-    below, row, ranked = singles, _first_row(count), 0
-    for size in range(2, count):
-        ranked += math.comb(count, size)
-        if (best[wanted] < none).all() or ranked >= budget:
-            break
-        sets, below, redundant = _next_level(rank, count, size, below, row)
-        rows, places, owners = redundant.nonzero()
-        # Keys grow with the level, so a column resolved below keeps its key.
-        set_keys = size << count | low - revbit[sets].sum(axis=1)
-        np.minimum.at(best, (sets[rows, places], owners), set_keys[rows])
-    pending = best == none
-    keys[~pending] = best[~pending]
-    if not pending[wanted].any():
-        return keys
     sets = _lex_sets(count, r)
     level = rank(sets)
     agree = (level == level[..., :1]).all(axis=(0, 2))
     basis = level[..., 0] == r  # (N, G)
     masks = (1 << sets).sum(axis=1)
+    row = np.empty(1 << count, dtype=np.intp)  # a level-r set's row, by bit mask
     row[masks] = np.arange(len(sets))
     inside = (masks[:, None] >> np.arange(count) & 1).astype(bool)  # (N, c)
     outside = (~inside).nonzero()[1].reshape(len(sets), count - r)
-    best[:] = none
     step = max(1, COMPARE_CHUNK // ((count - r) * groups))
     for start in range(0, len(sets), step):
         part = slice(start, start + step)
@@ -421,8 +408,7 @@ def _witnesses(graph: AttackGraph, cap: int, member: int | None = None) -> list[
     if not width:
         return []
     rank = _linking_ranks(graph)
-    singles = rank(np.arange(width)[:, None])
-    full, deletions = settle_ranks(width, rank)
+    singles, full, deletions = settle_ranks(width, rank)
     infinite, single, in_core = classify_columns(singles, deletions, full)
     found: list[tuple[int, ...] | None] = [(k,) if single[k, 0] else None for k in range(width)]
     core = in_core[:, 0].nonzero()[0]

@@ -36,9 +36,12 @@ fewer sets than level r, so the parallel pairs whose indices are 2 never
 rank level r.  A realization whose frequencies disagree on the settle
 step or on level r, or with a core column on no fundamental circuit, is
 swept bottom-up by ``index.redundancy_sweep`` instead, from the settle
-ranks already taken.  At the default tolerance every answer equals the
-sweep's; a tolerance so coarse that the ranks are not a matroid's, such
-as 0.5, can change a few of them.
+ranks already taken: the guard's keyed level loop, run with no budget
+over the union of the swept realizations' cores, each taking only the
+sets inside its own core, until every column is resolved.  At the
+default tolerance every answer equals the sweep's; a tolerance so coarse
+that the ranks are not a matroid's, such as 0.5, can change a few of
+them.
 ``numeric_index_vector`` is the one-realization case and
 ``numeric_index_vectors`` the batched one, which takes its seeds in
 blocks of ``SEED_BLOCK``.
@@ -48,9 +51,9 @@ blocks of ``SEED_BLOCK``.
 normal ranks against linking sizes on attack subsets, and realization
 index vectors against the structural ones, passed when the shares that
 agree reach ``RANK_AGREEMENT`` and ``INDEX_AGREEMENT``.  Its generic
-normal ranks take ``RANK_TRIALS`` realizations, and its subsets are drawn
-as reflected Gray-code words in ascending order, which is the order the
-warm-started linking flows are asked in.
+normal ranks take ``RANK_TRIALS`` realizations, and its subsets are
+distinct reflected Gray-code words, drawn and asked in ascending order,
+which is the order the warm-started linking flows are asked in.
 
 Attack columns are ordered like the graph's attack set: actuators in
 declaration order, then unprotected sensors in declaration order.
@@ -470,8 +473,7 @@ def _index_vectors(
         return lambda sets: _column_ranks(chosen, columns[sets], probe.tolerance)
 
     every = np.arange(width)
-    singles = rank(slice(None), every)(every[:, None])
-    full, deletions = settle_ranks(width, rank(slice(None), every))
+    singles, full, deletions = settle_ranks(width, rank(slice(None), every))
     infinite, single, in_core = classify_columns(singles, deletions, full)
     agree = np.ones(R, dtype=bool)
     for ranks in (singles, full, deletions):
@@ -593,17 +595,21 @@ def _rank_check_subsets(width: int, seed: int) -> list[tuple[int, ...]]:
 
     Subset i is the bit mask of the i-th Gray code word, i ^ i >> 1, for
     every i below 2 ** width when there are at most
-    ``_RANK_CHECK_SUBSET_BUDGET``, else for that many indices i drawn
-    uniformly from ``seed`` and sorted.  Consecutive subsets of the full
-    enumeration differ in one column.
+    ``_RANK_CHECK_SUBSET_BUDGET``, else for that many distinct indices i,
+    sorted.  Those are drawn uniformly from ``seed`` as rows of ``width``
+    random bits, that many rows at a time, until that many distinct ones
+    have come up; the first to come up are taken.  Consecutive subsets of
+    the full enumeration differ in one column.
     """
     if 2**width <= _RANK_CHECK_SUBSET_BUDGET:
         indices: Iterable[int] = range(2**width)
     else:
-        bits = np.random.default_rng((seed, 0x5EB5)).integers(
-            0, 2, size=(_RANK_CHECK_SUBSET_BUDGET, width)
-        )
-        indices = sorted(sum(1 << k for k in np.flatnonzero(row).tolist()) for row in bits)
+        rng = np.random.default_rng((seed, 0x5EB5))
+        drawn: dict[int, None] = {}  # distinct indices, in draw order
+        while len(drawn) < _RANK_CHECK_SUBSET_BUDGET:
+            bits = rng.integers(0, 2, size=(_RANK_CHECK_SUBSET_BUDGET, width))
+            drawn.update((sum(1 << k for k in np.flatnonzero(row).tolist()), None) for row in bits)
+        indices = sorted(list(drawn)[:_RANK_CHECK_SUBSET_BUDGET])
     return [tuple(k for k in range(width) if (i ^ i >> 1) >> k & 1) for i in indices]
 
 
@@ -617,8 +623,8 @@ def agreement(
     """Numerical check of the graph computations on ``graph``, the attack graph of ``system``.
 
     The rank check compares ``generic_normal_rank`` with the maximum
-    linking size to the sensors on every attack subset, or on 256 subsets
-    drawn from ``probe.seed`` when there are more, asked in reflected
+    linking size to the sensors on every attack subset, or on 256 distinct
+    subsets drawn from ``probe.seed`` when there are more, asked in reflected
     Gray-code order (``_rank_check_subsets``), so each warm-started flow
     adds or drops few sources.  The index check compares
     ``numeric_index_vectors`` for ``seeds`` with ``all_indices``, per

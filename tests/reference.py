@@ -271,8 +271,7 @@ def swept_index_vectors(
     def rank(sets: np.ndarray) -> np.ndarray:
         return _column_ranks(transfer, sets, probe.tolerance)
 
-    singles = rank(np.arange(width)[:, None])
-    found = redundancy_sweep(rank, singles, *settle_ranks(width, rank))
+    found = redundancy_sweep(rank, *settle_ranks(width, rank))
     return tuple(tuple(INFINITE if p is None else len(p) for p in group) for group in found)
 
 

@@ -696,6 +696,16 @@ def test_left_invertible_system_ranks_each_set_once_and_no_deletion(monkeypatch,
     assert sum(counts) == (width + 1) * len(seeds) * len(probe.frequencies)
 
 
+@pytest.mark.parametrize("width", [9, 10, 12, 64])
+def test_rank_check_draws_distinct_subsets(width):
+    # Above width 8 the rank check samples 256 of the 2**width subsets;
+    # drawn with replacement, only about 200 of them would be distinct at
+    # width 9.  Width 64 takes masks past the range of a fixed-width integer.
+    for seed in range(4):
+        subsets = oracle._rank_check_subsets(width, seed)
+        assert len(set(subsets)) == len(subsets) == 256
+
+
 def test_one_column_ranks_like_its_singular_value():
     rng = np.random.default_rng(5)
     column = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
