@@ -12,26 +12,27 @@ attack set (Perfect 1968; Mason 1972), and a subset S containing i
 qualifies exactly when r(S) = r(S \\ {i}).  The smallest such subsets are
 the smallest circuits through i.  Both index routes, the structural one
 over linking sizes and the numerical oracle over SVD ranks of
-transfer-matrix columns, take a rank function given as ranks of whole
-batches of position sets, for several independent groups of rank
-functions at once (one group per realization).  They first settle each
-column from a few ranks (``settle_ranks``, ``classify_columns``): a
-coloop lies on no circuit (infinite index), a loop is a circuit by itself
-(index 1).  The core, the columns that are neither, has rank r = r(A)
-less the number of coloops, and no smallest circuit through a core column
-holds any other column.  Every circuit is the fundamental circuit of a
-basis among the core's r-subsets (level r), so ``circuit_keys`` reads
-each core column's smallest circuit off level r.  Circuits are keyed by
-size, then lexicographically over attack-set positions, so each witness
-is the lexicographically smallest qualifying subset of minimal size.  A
-core of nullity 1 is a single circuit, which the structural route
-answers with no further rank.  One loop ranks a core bottom-up, one
-subset size at a time from size 2, and keeps each column's least key
-(``_level_keys``): ``circuit_keys`` runs it while the low levels hold
-fewer sets than level r, and ``redundancy_sweep``, on which the oracle
-falls back for ranks that do not behave as a matroid's, runs it until
-every column is resolved.  The cost is still combinatorial, which is why
-both routes refuse attack sets wider than their cap.
+transfer-matrix columns, run one engine, ``witness_sets``, on a rank
+function given as ranks of whole batches of position sets, for several
+independent groups of rank functions at once (one group per
+realization).  It first settles each column from a few ranks
+(``settle_ranks``, ``classify_columns``): a coloop lies on no circuit
+(infinite index), a loop is a circuit by itself (index 1).  The core, the
+columns that are neither, has rank r = r(A) less the number of coloops,
+and no smallest circuit through a core column holds any other column.
+Every circuit is the fundamental circuit of a basis among the core's
+r-subsets (level r), so ``circuit_keys`` reads each core column's
+smallest circuit off level r, under all the groups that share a core and
+r at once.  Circuits are keyed by size, then lexicographically over
+attack-set positions, so each witness is the lexicographically smallest
+qualifying subset of minimal size.  A core of nullity 1 whose level r is
+all bases is a single circuit, the witness of every member.  One loop
+ranks a core bottom-up, one subset size at a time from size 2, and keeps
+each column's least key (``_level_keys``): ``circuit_keys`` runs it while
+the low levels hold fewer sets than level r, and the engine runs it until
+every column is resolved for a group whose ranks do not behave as a
+matroid's, on that group's own core.  The cost is still combinatorial,
+which is why both routes refuse attack sets wider than their cap.
 """
 
 from __future__ import annotations
@@ -148,9 +149,9 @@ def plain_sweep_count(width: int, member: int, positions: tuple[int, ...] | None
 def settle_ranks(width: int, rank: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, ...]:
     """Ranks of each {k}, of the whole attack set A and of each A \\ {k}.
 
-    ``rank`` is ``redundancy_sweep``'s; the three arrays are (w, G, F),
-    (1, G, F) and (w, G, F), in ``redundancy_sweep``'s argument order, and
-    the singles are ranked first.  When r(A) = w under every function, the
+    ``rank`` is ``circuit_keys``' over attack-set positions; the three
+    arrays are (w, G, F), (1, G, F) and (w, G, F), and the singles are
+    ranked first.  When r(A) = w under every function, the
     w deletions are not ranked: r(A \\ {k}) <= w - 1 for any rank with
     r(S) <= |S| (linking sizes, SVD counts), so every column is a coloop,
     and w - 1 stands in for each of their ranks.
@@ -162,52 +163,6 @@ def settle_ranks(width: int, rank: Callable[[np.ndarray], np.ndarray]) -> tuple[
         return singles, full, np.broadcast_to(full - 1, (width, *full.shape[1:]))
     rest = np.arange(width - 1)
     return singles, full, rank(rest + (rest >= every[:, None]))  # row k: every position but k
-
-
-def redundancy_sweep(
-    rank: Callable[[np.ndarray], np.ndarray],
-    singles: np.ndarray,
-    full: np.ndarray,
-    deletions: np.ndarray,
-) -> tuple[tuple[tuple[int, ...] | None, ...], ...]:
-    """Lexicographically first smallest redundant subset of each position, per group.
-
-    ``rank(sets)`` takes N equal-size sets of attack-set positions, one
-    sorted row each of an (N, s) array, and returns their ranks as an
-    (N, G, F) array: G independent groups (realizations) of F rank
-    functions each.  ``singles``, ``full`` and ``deletions`` are the ranks
-    ``settle_ranks`` gives under the same groups: of each {k}, of the whole
-    attack set A and of each A \\ {k}.  Each group gets its own answer, one
-    entry per position, as if swept alone.  A subset S holding k is
-    redundant for k in a group when S and S \\ {k} have equal ranks under
-    each of its functions.  The settle ranks are classified by
-    ``classify_columns``: a loop's subset is (k,), and a coloop under some
-    function or a column outside the core has none (None).  The union of
-    the groups' cores is then ranked bottom-up by ``_level_keys``, with no
-    budget: a group takes only sets inside its own core, and a column's
-    subset is the least key's, the first redundant set of the first level
-    holding one.  A column that is a coloop under none of its group's
-    functions is redundant in that group's core itself, so one still
-    pending after the last level gets its group's whole core.  These rules
-    give each group the answer of a sweep of its own core, even when its
-    ranks are not those of a matroid, which is why the numerical oracle
-    falls back on it.  A lone sweep stops below its core's size and gives
-    a column still pending the whole core; at that size and above, the
-    only set inside the core is the core itself, so the union's longer
-    sweep gives the same.
-    """
-    width, groups = singles.shape[:2]
-    infinite, single, in_core = classify_columns(singles, deletions, full)
-    found: list[list[tuple[int, ...] | None]] = [[None] * width for _ in range(groups)]
-    for k, g in zip(*(axis.tolist() for axis in single.nonzero())):
-        found[g][k] = (k,)
-    core = in_core.any(axis=1).nonzero()[0]
-    own = in_core[core]
-    pending = own & ~infinite[core]
-    keys = _level_keys(lambda s: rank(core[s]), singles[core], own, pending)
-    for k, g, key in zip(*(axis.tolist() for axis in pending.nonzero()), keys[pending].tolist()):
-        found[g][core[k]] = _circuit(core, key) if key else tuple(core[own[:, g]].tolist())
-    return tuple(tuple(answers) for answers in found)
 
 
 def _lex_sets(count: int, size: int) -> np.ndarray:
@@ -254,41 +209,38 @@ def _next_level(
 def _level_keys(
     rank: Callable[[np.ndarray], np.ndarray],
     singles: np.ndarray,
-    own: np.ndarray,
     pending: np.ndarray | slice,
     budget: float = math.inf,
 ) -> np.ndarray:
     """Least key of a redundant set through each column, per group, from levels 2, 3, ...
 
     ``rank`` takes sets of positions in range(c), ``singles`` holds their
-    ranks, (c, G, F), ``own[k, g]`` tells whether column k is in group g's
-    own core, and ``pending`` indexes the (c, G) keys still to resolve: a
-    (c, G) mask, or a mask or slice over the columns.
-    A set is redundant for a member k in group g when it lies inside g's
-    own core and has the ranks of itself less k under each of g's
-    functions.  Levels are ranked bottom-up until every pending column
-    has a key, or until the sets ranked, with the next level, would reach
-    ``budget``; the last level ranked is at most c - 1.  Keys are
-    ``circuit_keys``', and each column keeps its least one: keys grow with
-    the level, and within a level the least key is the lexicographically
-    first set.  Returns (c, G) keys, 0 where no redundant set was found.
+    ranks, (c, G, F), and ``pending`` indexes the (c, G) keys still to
+    resolve: a (c, G) mask, or a mask or slice over the columns.  A set
+    is redundant for a member k in group g when it has the ranks of itself
+    less k under each of g's functions.  Levels are ranked bottom-up until
+    every pending column has a key, or until the sets ranked, with the
+    next level, would reach ``budget``; the last level ranked is at most
+    c - 1.  Keys are ``circuit_keys``', and each column keeps its least
+    one: keys grow with the level, and within a level the least key is the
+    lexicographically first set.  Returns (c, G) keys, 0 where no redundant
+    set was found.
     """
     count, groups = singles.shape[:2]
+    if count < 3 or math.comb(count, 2) >= budget:  # no level to rank
+        return np.zeros((count, groups), dtype=np.int64)
     low = (1 << count) - 1
     revbit = 1 << (count - 1 - np.arange(count, dtype=np.int64))
     none = (count + 1) << count  # above every set's key
     best = np.full((count, groups), none)
-    shared = own.all()  # every group's core is the whole range, as with G = 1
     row = np.empty(1 << count, dtype=np.intp)  # a set's row in its level, by bit mask
     row[1 << np.arange(count)] = np.arange(count)
     below, ranked = singles, 0
     for size in range(2, count):
         ranked += math.comb(count, size)
-        if (best[pending] < none).all() or ranked >= budget:
+        if ranked >= budget or (best[pending] < none).all():
             break
         sets, below, redundant = _next_level(rank, count, size, below, row)
-        if not shared:
-            redundant &= own[sets].all(axis=1)[:, None, :]
         rows, places, owners = redundant.nonzero()
         set_keys = size << count | low - revbit[sets].sum(axis=1)
         np.minimum.at(best, (sets[rows, places], owners), set_keys[rows])
@@ -303,46 +255,54 @@ def circuit_keys(
 ) -> np.ndarray:
     """Smallest circuit through each column of a core of rank ``r``, per group, as a key.
 
-    ``rank`` is ``redundancy_sweep``'s over positions in range(c), every
-    one of them in each group's core; ``singles`` holds their ranks,
-    (c, G, F).  Returns (c, G) keys, 0 where a column is left unresolved.
-    The search stops once the ``wanted`` columns (all by default) are
-    resolved, which can leave the others unresolved.
+    ``rank`` takes N equal-size sets of positions in range(c), one sorted
+    row each of an (N, s) array, and returns their ranks as an (N, G, F)
+    array: G independent groups (realizations) of F rank functions each,
+    every position in each group's core.  ``singles`` holds the positions'
+    ranks, (c, G, F).  Returns (c, G) keys, 0 where a column is left
+    unresolved.  The search stops once the ``wanted`` columns (all by
+    default) are resolved, which can leave the others unresolved.
     A circuit's key is its size << c | (2**c - 1 - revmask), where
     ``revmask`` puts column i on bit c - 1 - i: a smaller key is a smaller
     circuit, and of two circuits of one size the lexicographically first,
     so the least key through a column is its index (``key >> c``) and its
     witness.  The answer comes from the cheaper of two exact routes for a
-    matroid with no loop or coloop.  The guard is ``redundancy_sweep``'s
-    bottom-up loop (``_level_keys``), with a budget: it ranks levels 2, 3,
-    ... and keeps each column's least key over the redundant sets through
-    it, the first such set of the first level holding one.  Level r gives
-    every circuit: for a basis B (an r-set of rank r) and e outside it,
-    B + e holds one circuit, the fundamental circuit
+    matroid with no loop or coloop.  The guard is the bottom-up loop
+    (``_level_keys``), with a budget: it ranks levels 2, 3, ... and keeps
+    each column's least key over the redundant sets through it, the first
+    such set of the first level holding one.  Level r gives every circuit:
+    for a basis B (an r-set of rank r) and e outside it, B + e holds one
+    circuit, the fundamental circuit
     C(e, B) = {e} + {j in B : B - j + e is a basis}, and every circuit is
     one of these (Oxley, *Matroid Theory*, ch. 1).  The guard runs while
     the sets it has ranked, with the next level, stay fewer than the
     C(c, r) sets of level r; the columns still pending then take their
     least key over the fundamental circuits of level r.  So the sets
     ranked are at most twice those of the cheaper route; at a tie level r
-    is ranked, since it settles every column.  A group whose F functions
-    disagree on some level-r set, or a pending column on no fundamental
-    circuit, is left unresolved: its ranks are not those of one matroid,
-    and only a full sweep defines its answer.
+    is ranked, since it settles every column.  At nullity 1 (r = c - 1)
+    the guard ranks nothing, and when every level-r set is a basis under
+    every function, each C(e, B) is the whole core, whose key every
+    pending column takes.  A group whose F functions disagree on some
+    level-r set, or a pending column on no fundamental circuit, is left
+    unresolved: its ranks are not those of one matroid, and only a full
+    sweep defines its answer.
     """
     count, groups = singles.shape[:2]
     if not 0 < r < count:
         return np.zeros((count, groups), dtype=np.int64)
-    keys = _level_keys(rank, singles, np.ones((count, groups), dtype=bool), wanted, math.comb(count, r))
+    keys = _level_keys(rank, singles, wanted, math.comb(count, r))
     pending = keys == 0
     if not pending[wanted].any():
+        return keys
+    sets = _lex_sets(count, r)
+    level = rank(sets)
+    if r == count - 1 and (level == r).all():
+        keys[pending] = count << count
         return keys
     low = (1 << count) - 1
     revbit = 1 << (count - 1 - np.arange(count, dtype=np.int64))
     none = (count + 1) << count  # above every circuit's key
     best = np.full((count, groups), none)
-    sets = _lex_sets(count, r)
-    level = rank(sets)
     agree = (level == level[..., :1]).all(axis=(0, 2))
     basis = level[..., 0] == r  # (N, G)
     masks = (1 << sets).sum(axis=1)
@@ -377,50 +337,84 @@ def _circuit(core: np.ndarray, key: int) -> tuple[int, ...]:
     return tuple(k for i, k in enumerate(core.tolist()) if revmask >> (count - 1 - i) & 1)
 
 
-def _linking_ranks(graph: AttackGraph) -> Callable[[np.ndarray], np.ndarray]:
-    """``circuit_keys``' rank: the linking size to the sensors, G = F = 1."""
-    attack_set, targets = graph.attack_set, graph.targets
+def witness_sets(
+    width: int,
+    ranks: Callable[[list[int] | slice], Callable[[np.ndarray], np.ndarray]],
+    member: int | None = None,
+) -> list[list[tuple[int, ...] | None]]:
+    """Each group's witness positions for each attack-set position, None for an infinite index.
 
-    def rank(sets: np.ndarray) -> np.ndarray:
-        sizes = [max_linking_size(graph, [attack_set[k] for k in s], targets) for s in sets.tolist()]
-        return np.array(sizes, dtype=np.intp).reshape(len(sizes), 1, 1)
-
-    return rank
+    ``ranks(among)`` is the rank of the groups ``among``, a list of group
+    numbers or ``slice(None)`` for all G of them: it takes N equal-size
+    sets of attack-set positions, one sorted row each of an (N, s) array,
+    and returns their ranks as an (N, G', F) array, F rank functions per
+    group.  Each group is answered on its own ranks.  The settle step
+    (``settle_ranks``, ``classify_columns``) gives a loop under every
+    function (k,) and a coloop under some function None.  A group whose
+    functions agree on the settle step has a core of rank r = r(A) less
+    its coloops; the groups are bucketed by their own core and r, with
+    r = -1 where they disagree, and each bucket is ranked together, on
+    sets inside its core only.  ``circuit_keys`` answers the bucket's
+    groups; one left with a wanted column unresolved, or whose functions
+    disagree, is swept by ``_level_keys`` with no budget.  A sweep defines
+    the answer of any rank, matroid or not: a column's witness is the
+    lexicographically first redundant set of the first level holding one,
+    and a column still pending after level c - 1 gets its group's whole
+    core, in which it is redundant, being a coloop under none of its
+    group's functions.  With ``member`` given, the search stops once that
+    position is resolved, and only its entry is sure to be right.
+    """
+    singles, full, deletions = settle_ranks(width, ranks(slice(None)))
+    infinite, single, in_core = classify_columns(singles, deletions, full)
+    core_rank = full[0, :, 0] - infinite.sum(axis=0)
+    if singles.shape[2] > 1:  # a lone function agrees with itself
+        settled = np.concatenate((singles, full, deletions))
+        core_rank[(settled != settled[..., :1]).any(axis=(0, 2))] = -1
+    found = [[(k,) if loop else None for k, loop in enumerate(column)] for column in single.T.tolist()]
+    buckets: dict[tuple[bytes, int], list[int]] = {}
+    for g in in_core.any(axis=0).nonzero()[0].tolist():
+        buckets.setdefault((in_core[:, g].tobytes(), int(core_rank[g])), []).append(g)
+    for (_, r), members in buckets.items():
+        core = in_core[:, members[0]].nonzero()[0]
+        wanted = slice(None) if member is None else core == member
+        bucket, below = ranks(members), singles[core][:, members]
+        keys = circuit_keys(lambda sets: bucket(core[sets]), below, r, wanted)
+        if not keys[wanted].all():
+            swept = (keys[wanted] == 0).any(axis=0).nonzero()[0]
+            among = [members[i] for i in swept.tolist()]
+            chosen, pending = ranks(among), ~infinite[core][:, among]
+            swept_keys = _level_keys(lambda sets: chosen(core[sets]), below[:, swept], pending)
+            keys[:, swept] = np.where(pending, swept_keys, -1)
+        whole = tuple(core.tolist())
+        circuits = {-1: None, 0: whole}  # -1: a coloop under some function
+        for g, column in zip(members, keys.T.tolist()):
+            for k, key in zip(whole, column):
+                if key not in circuits:
+                    circuits[key] = _circuit(core, key)
+                found[g][k] = circuits[key]
+    return found
 
 
 def _witnesses(graph: AttackGraph, cap: int, member: int | None = None) -> list[tuple[int, ...] | None]:
     """Each attack-set position's witness positions, None for an infinite index.
 
-    The settle step ranks the singles, A and its deletions; a loop is its
-    own witness and a coloop has none.  The core, of c columns, has rank
-    r(A) less the number of coloops, with no flow.  At nullity 1 (r = c - 1)
-    the core holds one circuit, since B + e does for a basis B and the one
-    column e outside it, and no core column is a coloop: the whole core is
-    every member's witness.  Otherwise ``circuit_keys`` gives each member's
-    lexicographically first smallest circuit; linking sizes are the ranks
-    of a matroid, so it resolves every core column.  With ``member`` given,
-    the search stops once that position is resolved, and only its entry
-    is sure to be filled.
+    ``witness_sets`` for the one group of the linking size to the sensors
+    (G = F = 1).  Linking sizes are the ranks of a matroid, so
+    ``circuit_keys`` resolves every core column and nothing is swept.
+    With ``member`` given, only its entry is sure to be filled.
     """
     width = len(graph.attack_set)
     if width > cap:
         raise EnumerationCapError(width, cap)
     if not width:
         return []
-    rank = _linking_ranks(graph)
-    singles, full, deletions = settle_ranks(width, rank)
-    infinite, single, in_core = classify_columns(singles, deletions, full)
-    found: list[tuple[int, ...] | None] = [(k,) if single[k, 0] else None for k in range(width)]
-    core = in_core[:, 0].nonzero()[0]
-    r = int(full[0, 0, 0]) - int(infinite.sum())
-    if len(core) == r + 1:
-        circuits = [tuple(core.tolist())] * len(core)
-    else:
-        wanted = slice(None) if member is None else core == member
-        keys = circuit_keys(lambda sets: rank(core[sets]), singles[core], r, wanted)[:, 0]
-        circuits = [_circuit(core, key) if key else None for key in keys.tolist()]
-    for k, circuit in zip(core.tolist(), circuits):
-        found[k] = circuit
+    attack_set, targets = graph.attack_set, graph.targets
+
+    def rank(sets: np.ndarray) -> np.ndarray:
+        sizes = [max_linking_size(graph, [attack_set[k] for k in s], targets) for s in sets.tolist()]
+        return np.array(sizes, dtype=np.intp).reshape(len(sizes), 1, 1)
+
+    (found,) = witness_sets(width, lambda among: rank, member)
     return found
 
 
@@ -458,8 +452,8 @@ def all_indices(graph: AttackGraph, cap: int = DEFAULT_SUBSET_CAP) -> IndexRepor
     """Indices for every attackable component, in attack-set order, from one search.
 
     The settle step settles loops and coloops; each core member's index
-    and witness is its lexicographically first smallest circuit, the whole
-    core at nullity 1 and otherwise from ``circuit_keys``.  Raises
+    and witness is its lexicographically first smallest circuit, from
+    ``circuit_keys`` (``witness_sets``).  Raises
     ``EnumerationCapError`` when the attack set is wider than ``cap``.
     """
     found = _witnesses(graph, cap)

@@ -19,29 +19,28 @@ normal ranks of a batch of column sets take one call per set size and
 chunk under the first realization and frequency, and one more for the
 sets still below their shape cap, min(sensors, columns), under the rest.
 
-Index vectors rest on the thresholded ranks behaving as the rank
-functions of matroids, as exact ranks do.  The settle step
-(``index.settle_ranks``) ranks the single columns, the whole attack set
-and each set missing one column (none when the attack set is
-independent) under every realization; a realization whose frequencies
-agree on all of them has its loops (index 1), coloops (infinite) and
-core, of rank r = r(A) less its number of coloops.  Every index in a
-core of rank r is at most r + 1, and is the size of the smallest circuit
-through the column, a fundamental circuit of a basis in level r (the
-r-subsets of the core).  ``index.circuit_keys``, which the structural
-route runs too, reads it off level r (``key >> c`` for a core of c
+Index vectors come from ``index.witness_sets``, the engine the
+structural route runs too, with one group of F rank functions per
+realization: the column ranks at its probe frequencies.  The settle step
+ranks the single columns, the whole attack set and each set missing one
+column (none when the attack set is independent) under every
+realization; a realization whose frequencies agree on all of them has its
+loops (index 1), coloops (infinite) and core, of rank r = r(A) less its
+number of coloops.  Every index in a core of rank r is at most r + 1,
+and is the size of the smallest circuit through the column, a
+fundamental circuit of a basis in level r (the r-subsets of the core).
+``index.circuit_keys`` reads it off level r (``key >> c`` for a core of c
 columns), ranked once under all the realizations that share a core and
 r; a guard sweeps the cheap low levels bottom-up first, while they hold
 fewer sets than level r, so the parallel pairs whose indices are 2 never
 rank level r.  A realization whose frequencies disagree on the settle
 step or on level r, or with a core column on no fundamental circuit, is
-swept bottom-up by ``index.redundancy_sweep`` instead, from the settle
-ranks already taken: the guard's keyed level loop, run with no budget
-over the union of the swept realizations' cores, each taking only the
-sets inside its own core, until every column is resolved.  At the
-default tolerance every answer equals the sweep's; a tolerance so coarse
-that the ranks are not a matroid's, such as 0.5, can change a few of
-them.
+swept bottom-up instead, from the settle ranks already taken: the
+guard's keyed level loop, run with no budget over its own core, together
+with the other such realizations of that core, until every column is
+resolved.  At the default tolerance every answer equals the sweep's; a
+tolerance so coarse that the ranks are not a matroid's, such as 0.5, can
+change a few of them.
 ``numeric_index_vector`` is the one-realization case and
 ``numeric_index_vectors`` the batched one, which takes its seeds in
 blocks of ``SEED_BLOCK``.
@@ -67,16 +66,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from secindex.index import (
-    DEFAULT_SUBSET_CAP,
-    INFINITE,
-    EnumerationCapError,
-    all_indices,
-    circuit_keys,
-    classify_columns,
-    redundancy_sweep,
-    settle_ranks,
-)
+from secindex.index import DEFAULT_SUBSET_CAP, INFINITE, EnumerationCapError, all_indices, witness_sets
 from secindex.linking import max_linking_size
 from secindex.model import AttackGraph, StructuredSystem
 
@@ -448,17 +438,11 @@ def generic_normal_rank(
 def _index_vectors(
     stack: _Stack, probe: RankProbe, streams: Sequence[int], cap: int
 ) -> tuple[tuple[int | float, ...], ...]:
-    """Every realization's index vector, from level r of its core or from ``redundancy_sweep``.
+    """Every realization's index vector, the sizes of its ``index.witness_sets`` answer.
 
-    The settle step ranks the singles, the attack set and its deletions
-    under every realization.  A realization whose frequencies agree there
-    has its loops (index 1), coloops (infinite) and core, of rank r(A)
-    less its number of coloops; realizations with the same core and r
-    share one ``circuit_keys`` call, whose ranks take all of them at
-    once, and read each index off its key.  A realization whose
-    frequencies disagree on the settle step, or with a core column
-    ``circuit_keys`` leaves unresolved, is swept by ``redundancy_sweep``
-    with the other such realizations, from their settle ranks.
+    Each realization is one group of F rank functions, the column ranks at
+    its probe frequencies, and a set is ranked under all the realizations
+    that ask for it at once.
     """
     R, _, width = stack.B_a.shape
     if not width:
@@ -467,40 +451,12 @@ def _index_vectors(
         raise EnumerationCapError(width, cap)
     transfer = _transfers(stack, probe, streams)
 
-    def rank(among: Sequence[int] | slice, columns: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """Ranks of sets of positions in ``columns``, under the realizations ``among``."""
+    def ranks(among: list[int] | slice) -> Callable[[np.ndarray], np.ndarray]:
         chosen = transfer[among]
-        return lambda sets: _column_ranks(chosen, columns[sets], probe.tolerance)
+        return lambda sets: _column_ranks(chosen, sets, probe.tolerance)
 
-    every = np.arange(width)
-    singles, full, deletions = settle_ranks(width, rank(slice(None), every))
-    infinite, single, in_core = classify_columns(singles, deletions, full)
-    agree = np.ones(R, dtype=bool)
-    for ranks in (singles, full, deletions):
-        agree &= (ranks == ranks[..., :1]).all(axis=(0, 2))
-    core_rank = full[0, :, 0] - infinite.sum(axis=0)
-    vectors = [
-        [1 if single[k, g] else INFINITE if infinite[k, g] else 0 for k in range(width)]
-        for g in range(R)
-    ]
-    buckets: dict[tuple[bytes, int], list[int]] = {}
-    for g in (agree & in_core.any(axis=0)).nonzero()[0].tolist():
-        buckets.setdefault((in_core[:, g].tobytes(), int(core_rank[g])), []).append(g)
-    swept = (~agree).nonzero()[0].tolist()
-    for (_, r), members in buckets.items():
-        core = in_core[:, members[0]].nonzero()[0]
-        sizes = circuit_keys(rank(members, core), singles[core][:, members], r) >> len(core)
-        for g, column in zip(members, sizes.T.tolist()):
-            if 0 in column:
-                swept.append(g)
-            for k, size in zip(core.tolist(), column):
-                vectors[g][k] = size
-    if swept:
-        settled = (ranks[:, swept] for ranks in (singles, full, deletions))
-        found = redundancy_sweep(rank(swept, every), *settled)
-        for g, group in zip(swept, found):
-            vectors[g] = [INFINITE if positions is None else len(positions) for positions in group]
-    return tuple(tuple(vector) for vector in vectors)
+    found = witness_sets(width, ranks)
+    return tuple(tuple(INFINITE if p is None else len(p) for p in group) for group in found)
 
 
 def numeric_index_vector(
@@ -523,8 +479,8 @@ def numeric_index_vector(
     level r, then each column's smallest fundamental circuit among the
     bases of level r.  Otherwise, or when the frequencies disagree on
     level r or a column lies on no fundamental circuit, the core is swept
-    bottom-up by ``index.redundancy_sweep``, one size level at a time,
-    until every column is resolved.  A threshold so coarse that the ranks
+    bottom-up, one size level at a time, until every column is resolved
+    (``index.witness_sets``).  A threshold so coarse that the ranks
     are no longer those of a matroid can change the result.  This is
     ``numeric_index_vectors`` for one realization.  Raises
     ``EnumerationCapError`` when the attack set is wider than ``cap``.
@@ -546,7 +502,7 @@ def numeric_index_vectors(
     The settle step ranks each set under every realization of the block
     at once; each level of a core is ranked once under all the block's
     realizations with that core and core rank (``index.circuit_keys``),
-    and the realizations left to ``redundancy_sweep`` share one sweep.
+    and the realizations of a core left to the fallback sweep share one.
     Each realization is answered on its own ranks, so every vector equals
     the one-realization result, and memory does not grow with the number
     of seeds.  Raises ``EnumerationCapError`` when the attack set is

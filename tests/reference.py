@@ -18,9 +18,10 @@ by set.  A realization's indices rank each subset with one
 ``transfer_rank`` call per probe frequency, so the library's reduced,
 level-at-a-time sweep must agree with them exactly; ``numeric_witness``
 also gives the witness behind each index.  ``swept_index_vectors``
-answers every realization of a stack by one ``redundancy_sweep``, level
-after level up to the largest index, where the library reads most of them
-off level r of each core.  ``rank`` is the one-matrix rank rule the
+ranks every subset under every realization of a stack and answers each
+realization by ``own_core_sweep``, a plain sweep of its own core, with no
+library sweep code; the library reads most indices off level r of each
+core and sweeps only the rest.  ``rank`` is the one-matrix rank rule the
 stacked kernel must reproduce, ``transfer_matrices`` solves one frequency
 at a time where the library solves them all at once, and ``pencil_rank``
 checks ``transfer_rank`` through the system pencil.
@@ -34,11 +35,12 @@ finds the colliding realizations of a stack with one eigenvalue call.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from secindex.index import INFINITE, SecurityIndexResult, redundancy_sweep, settle_ranks
+from secindex.index import INFINITE, SecurityIndexResult
 from secindex.linking import Linking, _Dinic
 from secindex.model import AttackGraph, StructuredSystem, VertexId
 from secindex.oracle import (
@@ -259,20 +261,79 @@ def numeric_index_vector(
     return tuple(numeric_witness(realization, probe, c)[0] for c in wanted)
 
 
+def own_core(width: int, table: Sequence[tuple[int, ...]]) -> list[int]:
+    """The positions that are neither a loop nor a coloop under some function.
+
+    ``table[mask]`` holds the F ranks of the set of positions whose bits
+    are set in ``mask``.
+    """
+    full = (1 << width) - 1
+    return [
+        k
+        for k in range(width)
+        if any(one and rest >= whole for one, rest, whole in zip(table[1 << k], table[full & ~(1 << k)], table[full]))
+    ]
+
+
+def own_core_sweep(width: int, table: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...] | None, ...]:
+    """One group's witness positions for each position, from a plain sweep of its own core.
+
+    ``table`` is ``own_core``'s.  A loop under every function gets (k,); a
+    coloop under some function, or a column outside the core (a loop or a
+    coloop under each function), gets None; any other column gets its
+    first redundant set of two or more columns inside the core, by size
+    and then lexicographically, or the whole core when there is none.
+    """
+    full = (1 << width) - 1
+    core = own_core(width, table)
+
+    def answer(k: int) -> tuple[int, ...] | None:
+        if not any(table[1 << k]):
+            return (k,)
+        if k not in core or any(rest < whole for rest, whole in zip(table[full & ~(1 << k)], table[full])):
+            return None
+
+        def redundant(positions: tuple[int, ...]) -> bool:
+            mask = sum(1 << p for p in positions)
+            return len(positions) > 1 and set(positions) <= set(core) and table[mask] == table[mask & ~(1 << k)]
+
+        _, positions, _ = first_redundant_subset(width, k, redundant)
+        return tuple(core) if positions is None else positions
+
+    return tuple(answer(k) for k in range(width))
+
+
+def rank_tables(system: StructuredSystem, seeds: Sequence[int], probe: RankProbe) -> list[list[tuple[int, ...]]]:
+    """Each seed's realization's ranks of every attack subset at the probe frequencies, by bit mask.
+
+    Every subset is ranked under every realization and frequency, one set
+    size at a time.
+    """
+    width = system.attack_width
+    transfer = _transfers(_Stack.drawn(system, seeds), probe, seeds)
+    tables: list[list[tuple[int, ...]]] = [[()] * (1 << width) for _ in seeds]
+    for size in range(width + 1):
+        sets = np.array(list(itertools.combinations(range(width), size)), dtype=np.intp)
+        sets = sets.reshape(math.comb(width, size), size)
+        ranks = _column_ranks(transfer, sets, probe.tolerance)
+        for positions, by_seed in zip(sets.tolist(), ranks.tolist()):
+            mask = sum(1 << k for k in positions)
+            for table, functions in zip(tables, by_seed):
+                table[mask] = tuple(functions)
+    return tables
+
+
 def swept_index_vectors(
     system: StructuredSystem, seeds: Sequence[int], probe: RankProbe
 ) -> tuple[tuple[int | float, ...], ...]:
-    """Each seed's realization-level indices, from one ``redundancy_sweep`` over the stack."""
+    """Each seed's realization-level indices, from ``own_core_sweep`` of its ``rank_tables`` table."""
     width = system.attack_width
     if not width:
         return ((),) * len(seeds)
-    transfer = _transfers(_Stack.drawn(system, seeds), probe, seeds)
-
-    def rank(sets: np.ndarray) -> np.ndarray:
-        return _column_ranks(transfer, sets, probe.tolerance)
-
-    found = redundancy_sweep(rank, *settle_ranks(width, rank))
-    return tuple(tuple(INFINITE if p is None else len(p) for p in group) for group in found)
+    return tuple(
+        tuple(INFINITE if p is None else len(p) for p in own_core_sweep(width, table))
+        for table in rank_tables(system, seeds, probe)
+    )
 
 
 def transfer_matrices(realization: Realization, frequencies: Iterable[complex]) -> np.ndarray:

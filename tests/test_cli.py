@@ -335,6 +335,12 @@ def test_repeated_invocations_are_byte_identical(capsys):
             EXIT_VERIFY_FAILED,
             id="chain-tol05",
         ),
+        pytest.param(
+            "collider_verify_tol05",
+            ["--input", "collider.json", "--tol", "0.5"],
+            EXIT_VERIFY_FAILED,
+            id="collider-tol05",
+        ),
     ],
 )
 def test_verify_output_matches_golden_file(capsys, monkeypatch, golden, argv, exit_code):

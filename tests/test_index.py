@@ -17,9 +17,8 @@ from secindex.index import (
     circuit_keys,
     is_generically_left_invertible,
     plain_sweep_count,
-    redundancy_sweep,
     security_index,
-    settle_ranks,
+    witness_sets,
 )
 from secindex.io import emit_report, parse_system
 from secindex.linking import _flows_for, max_linking_size, saturated_by_all_max_linkings
@@ -262,8 +261,8 @@ def assert_ranks_within_the_cheaper_route(graph, swept, core, indices):
     The bottom-up sweep would rank sizes 2 up to the largest of
     ``indices`` (the asked core components' indices), or up to one below
     the core's size; level r holds C(c, r) sets.  With no core component
-    asked, or a core of nullity 1 (rank c - 1), which is one circuit,
-    nothing is ranked past the settle step.
+    asked, nothing is ranked past the settle step; a core of nullity 1
+    (rank c - 1), which is one circuit, ranks its level r alone.
     """
     assert all(subset <= core for subset in swept)
     if not indices:
@@ -271,7 +270,8 @@ def assert_ranks_within_the_cheaper_route(graph, swept, core, indices):
         return
     c, r = len(core), reference.max_linking_size(graph, core, graph.targets)
     if r == c - 1:
-        assert not swept
+        assert Counter(swept) == Counter(frozenset(core - {v}) for v in core)
+        return
     top = min(max(indices), c - 1)
     sweep = sum(math.comb(c, size) for size in range(2, top + 1))
     assert len(swept) <= 2 * min(sweep, math.comb(c, r))
@@ -373,7 +373,7 @@ def test_width_ten_search_matches_fresh_network_reference():
 
 
 def table_rank(tables):
-    """``redundancy_sweep``'s rank from one table per group.
+    """``circuit_keys``' rank from one table per group.
 
     ``tables[g][mask]`` holds the F ranks of the set of positions whose
     bits are set in ``mask``.
@@ -388,16 +388,19 @@ def table_rank(tables):
     return rank
 
 
-def sweep(width, tables):
-    """``redundancy_sweep`` of ``table_rank(tables)``, after its settle step."""
-    rank = table_rank(tables)
-    return redundancy_sweep(rank, *settle_ranks(width, rank))
+def table_witnesses(width, tables):
+    """``witness_sets`` of one table per group, as a tuple of answers per group."""
+
+    def ranks(among):
+        return table_rank(tables[among] if isinstance(among, slice) else [tables[g] for g in among])
+
+    return tuple(tuple(found) for found in witness_sets(width, ranks))
 
 
-def assert_groups_sweep_alone(width, tables):
-    """A sweep over all the groups answers each group as a sweep of that group alone."""
-    grouped = sweep(width, tables)
-    alone = [sweep(width, [t]) for t in tables]
+def assert_groups_answered_alone(width, tables):
+    """The engine over all the groups answers each group as it answers that group alone."""
+    grouped = table_witnesses(width, tables)
+    alone = [table_witnesses(width, [t]) for t in tables]
     assert all(len(answer) == 1 for answer in alone)
     assert grouped == tuple(answer for (answer,) in alone)
     return grouped
@@ -405,8 +408,8 @@ def assert_groups_sweep_alone(width, tables):
 
 def test_grouped_sweep_of_linking_ranks_equals_one_sweep_per_graph():
     # Twelve width-6 graphs, ranked by fresh-network linking sizes: their
-    # cores differ, so the sweep runs the union of the cores and each graph
-    # must take only the sets inside its own.
+    # cores differ, so the engine ranks them in several buckets, each on
+    # its own core, and must answer each graph as its structural index.
     graphs = [build_attack_graph(wide_system(seed, n=10, q=4, m=4, unprotected=2)) for seed in range(12)]
     width = 6
     tables = []
@@ -421,7 +424,7 @@ def test_grouped_sweep_of_linking_ranks_equals_one_sweep_per_graph():
         )
     cores = {frozenset(graph.attack_set.index(v) for v in reference_core(graph)) for graph in graphs}
     assert len(cores) > 1 and max(len(core) for core in cores) >= 4
-    grouped = assert_groups_sweep_alone(width, tables)
+    grouped = assert_groups_answered_alone(width, tables)
     for graph, found in zip(graphs, grouped):
         assert found == tuple(
             None if r.witness is None else tuple(graph.attack_set.index(v) for v in r.witness)
@@ -429,11 +432,16 @@ def test_grouped_sweep_of_linking_ranks_equals_one_sweep_per_graph():
         )
 
 
+def unresolved_keys(rank, singles, r, wanted=slice(None)):
+    """A ``circuit_keys`` that resolves nothing, so every group is swept."""
+    return np.zeros(singles.shape[:2], dtype=np.int64)
+
+
 @given(st.data())
 def test_grouped_sweep_of_non_matroid_ranks_equals_one_sweep_per_group(data):
-    # Arbitrary rank tables, mostly not those of matroids: a set redundant
-    # in one group's ranks can hold a column outside that group's core,
-    # which only the own-core rule keeps out of its answer.
+    # Arbitrary rank tables, mostly not those of matroids, and every group
+    # swept: a set redundant in one group's ranks can hold a column outside
+    # that group's core, which only a sweep of its own core keeps out.
     width = data.draw(st.integers(min_value=1, max_value=6), label="width")
     groups = data.draw(st.integers(min_value=1, max_value=4), label="groups")
     functions = data.draw(st.integers(min_value=1, max_value=2), label="functions")
@@ -446,42 +454,11 @@ def test_grouped_sweep_of_non_matroid_ranks_equals_one_sweep_per_group(data):
         ]
         for _ in range(groups)
     ]
-    grouped = assert_groups_sweep_alone(width, tables)
-    assert grouped == tuple(own_core_sweep(width, table) for table in tables)
-
-
-def own_core_sweep(width, table):
-    """One group's ``redundancy_sweep`` answer, from a plain sweep of its own core.
-
-    ``table[mask]`` holds the F ranks of the set with bit mask ``mask``.  A
-    loop under every function gets (k,); a coloop under some function, or
-    a column outside the core (a loop or a coloop under each function),
-    gets None; any other column gets its first redundant set of two or
-    more columns inside the core, or the whole core when there is none.
-    """
-    full = (1 << width) - 1
-
-    def coloops(k):
-        return [rest < whole for rest, whole in zip(table[full & ~(1 << k)], table[full])]
-
-    core = [
-        k for k in range(width) if any(one and not co for one, co in zip(table[1 << k], coloops(k)))
-    ]
-
-    def answer(k):
-        if not any(table[1 << k]):
-            return (k,)
-        if k not in core or any(coloops(k)):
-            return None
-
-        def redundant(positions):
-            mask = sum(1 << p for p in positions)
-            return len(positions) > 1 and set(positions) <= set(core) and table[mask] == table[mask & ~(1 << k)]
-
-        _, positions, _ = first_redundant_subset(width, k, redundant)
-        return tuple(core) if positions is None else positions
-
-    return tuple(answer(k) for k in range(width))
+    with mock.patch("secindex.index.circuit_keys", unresolved_keys):
+        grouped = assert_groups_answered_alone(width, tables)
+    assert grouped == tuple(reference.own_core_sweep(width, table) for table in tables)
+    # Through ``circuit_keys`` too, each group's answer is its own.
+    assert_groups_answered_alone(width, tables)
 
 
 def members(mask):
@@ -578,10 +555,13 @@ def test_core_rank_nullity_one_and_least_keys_on_brute_force_ranks(system):
 
 @pytest.mark.parametrize("fixture", ["chain_graph", "collider_graph"])
 def test_fixture_cores_are_single_circuits(fixture, request):
-    # Both fixtures' cores have nullity 1: {u1, a_y1} and {u2, u3}, each of rank 1.
+    # Both fixtures' cores have nullity 1: {u1, a_y1} and {u2, u3}, each of
+    # rank 1.  Level r, the two singletons, is all the core search ranks.
     graph = request.getfixturevalue(fixture)
     _, swept = swept_sets(graph, lambda: all_indices(graph))
-    assert swept == []
+    core = reference_core(graph)
+    assert len(core) == 2
+    assert Counter(swept) == Counter(frozenset({v}) for v in core)
     assert_core_facts(graph)
 
 
@@ -618,6 +598,34 @@ def test_circuit_sizes_leave_non_matroid_groups_unresolved():
     # Taken to have rank 3, U(2, 4) has no basis in level 3, so no column
     # lies on a fundamental circuit.
     assert circuit_keys(rank, singles, 3).tolist() == [[0, 0]] * width
+
+
+def test_nullity_one_takes_the_whole_core_only_when_level_r_is_all_bases():
+    # Four columns of rank 3 with {0, 1, 2} of rank 2, against the other
+    # three 3-sets of rank 3: the fundamental circuit of every basis is
+    # {0, 1, 2} (key 3 << 4 | 0b0001), and column 3 lies on none, so the
+    # general level-r keys hold, not the whole core's (4 << 4).
+    table = [(min(bin(mask).count("1"), 2 if mask == 0b0111 else 3),) for mask in range(16)]
+    rank = table_rank([table])
+    keys = circuit_keys(rank, rank(np.arange(4)[:, None]), 3)
+    assert keys[:, 0].tolist() == [3 << 4 | 0b0001] * 3 + [0]
+
+
+@pytest.mark.parametrize("width", [2, 3, 5])
+def test_nullity_one_matroid_ranks_only_level_r(width):
+    # U(c - 1, c) is one circuit, the whole core: level r, its c sets of
+    # c - 1 columns, is all that is ranked.
+    rank = table_rank([uniform_table(width, width - 1)])
+    singles = rank(np.arange(width)[:, None])
+    ranked = []
+
+    def counting(sets):
+        ranked.extend(map(tuple, sets.tolist()))
+        return rank(sets)
+
+    keys = circuit_keys(counting, singles, width - 1)
+    assert keys.tolist() == [[width << width]] * width
+    assert sorted(ranked) == sorted(itertools.combinations(range(width), width - 1))
 
 
 def test_parallel_pairs_never_rank_level_r():

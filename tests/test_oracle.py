@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from secindex.index import INFINITE, EnumerationCapError
+from secindex.io import parse_system
 from secindex.linking import max_linking_size
-from secindex import oracle
+from secindex import index, oracle
 from secindex.model import Sensor, StructuredSystem, build_attack_graph, random_structured_system
 from secindex.oracle import (
     DEFAULT_TOLERANCE,
@@ -564,16 +566,20 @@ def test_level_r_indices_match_the_sweep_on_wider_systems():
 
 
 def sweeps_recorded(monkeypatch):
-    """The realizations of each ``redundancy_sweep`` call the oracle makes, as group counts."""
+    """The realizations of each fallback sweep the oracle runs, as group counts.
+
+    A sweep is an ``index._level_keys`` call with no budget; the guard of
+    ``index.circuit_keys`` always passes one.
+    """
     calls = []
-    sweep = oracle.redundancy_sweep
+    level_keys = index._level_keys
 
-    def recorded(rank, singles, full, deletions):
-        found = sweep(rank, singles, full, deletions)
-        calls.append(len(found))
-        return found
+    def recorded(rank, singles, pending, budget=math.inf):
+        if budget == math.inf:
+            calls.append(singles.shape[1])
+        return level_keys(rank, singles, pending, budget)
 
-    monkeypatch.setattr(oracle, "redundancy_sweep", recorded)
+    monkeypatch.setattr(index, "_level_keys", recorded)
     return calls
 
 
@@ -603,44 +609,80 @@ def test_unresolved_core_columns_take_the_sweep(monkeypatch, probe):
     system = random_structured_system(4, max_states=6)
     seeds = list(range(100, 106))
     expected = reference.swept_index_vectors(system, seeds, probe)
-    circuits = oracle.circuit_keys
+    circuits = index.circuit_keys
 
-    def first_unresolved(rank, singles, r):
-        keys = circuits(rank, singles, r)
+    def first_unresolved(rank, singles, r, wanted):
+        keys = circuits(rank, singles, r, wanted)
         keys[0, 0] = 0
         return keys
 
     calls = sweeps_recorded(monkeypatch)
-    monkeypatch.setattr(oracle, "circuit_keys", first_unresolved)
+    monkeypatch.setattr(index, "circuit_keys", first_unresolved)
     assert numeric_index_vectors(system, seeds, probe) == expected
     assert calls and all(count == 1 for count in calls)
 
 
 @pytest.mark.parametrize(
-    "system, index",
+    "system, size",
     [(parallel_pairs(6), 2), (everyone_reads_everything(12, 5), 6), (everyone_reads_everything(8, 6), 7)],
 )
-def test_level_r_ranks_at_most_twice_the_cheaper_route(monkeypatch, probe, system, index):
-    # The sweep ranks levels 2 .. index and level r ranks C(c, r) sets;
+def test_level_r_ranks_at_most_twice_the_cheaper_route(monkeypatch, probe, system, size):
+    # The sweep ranks levels 2 .. size and level r ranks C(c, r) sets;
     # the guard keeps the sets ranked within twice the smaller of the two.
     ranked = []
-    circuits = oracle.circuit_keys
+    circuits = index.circuit_keys
 
-    def counted(rank, singles, r):
+    def counted(rank, singles, r, wanted):
         def counting(sets):
             ranked.append(len(sets))
             return rank(sets)
 
-        return circuits(counting, singles, r)
+        return circuits(counting, singles, r, wanted)
 
-    monkeypatch.setattr(oracle, "circuit_keys", counted)
+    monkeypatch.setattr(index, "circuit_keys", counted)
     calls = sweeps_recorded(monkeypatch)
     width = system.attack_width
-    assert numeric_index_vectors(system, [1, 2], probe) == ((index,) * width,) * 2
+    assert numeric_index_vectors(system, [1, 2], probe) == ((size,) * width,) * 2
     assert calls == []
     r = system.n_sensors
-    sweep = sum(math.comb(width, size) for size in range(2, index + 1))
+    sweep = sum(math.comb(width, level) for level in range(2, size + 1))
     assert 0 < sum(ranked) <= 2 * min(sweep, math.comb(width, r))
+
+
+def test_swept_realizations_rank_only_sets_inside_their_own_core(monkeypatch):
+    # ``secindex verify --input fixtures/chain.json --tol 0.5``: so coarse a
+    # tolerance that many realizations take the fallback sweep.  After the
+    # settle step, every set ranked under a realization, by the sweep or
+    # by ``circuit_keys``, lies inside that realization's own core.
+    system = parse_system((Path(__file__).resolve().parent.parent / "fixtures" / "chain.json").read_text())
+    probe = default_probe(3, tolerance=0.5, seed=0)
+    seeds = list(range(1000, 1050))
+    asked = []  # (realizations, sets) of each rank call past the settle step
+    engine = oracle.witness_sets
+
+    def recorded(width, ranks, member=None):
+        def recording(among):
+            rank = ranks(among)
+
+            def ranked(sets):
+                if not isinstance(among, slice):
+                    asked.append((among, sets.tolist()))
+                return rank(sets)
+
+            return ranked
+
+        return engine(width, recording, member)
+
+    monkeypatch.setattr(oracle, "witness_sets", recorded)
+    calls = sweeps_recorded(monkeypatch)
+    vectors = numeric_index_vectors(system, seeds, probe)
+    assert vectors == reference.swept_index_vectors(system, seeds, probe)
+    assert sum(calls) > 0 and asked
+    width = system.attack_width
+    cores = [set(reference.own_core(width, table)) for table in reference.rank_tables(system, seeds, probe)]
+    for among, sets in asked:
+        for g in among:
+            assert all(set(s) <= cores[g] for s in sets), (seeds[g], cores[g], sets)
 
 
 def test_level_r_memory_stays_within_the_sweeps():
