@@ -31,8 +31,11 @@ ranks a core bottom-up, one subset size at a time from size 2, and keeps
 each column's least key (``_level_keys``): ``circuit_keys`` runs it while
 the low levels hold fewer sets than level r, and the engine runs it until
 every column is resolved for a group whose ranks do not behave as a
-matroid's, on that group's own core.  The cost is still combinatorial,
-which is why both routes refuse attack sets wider than their cap.
+matroid's, on that group's own core.  Every search answers every column:
+``all_indices`` is the structural route's one call, and
+``security_index`` reads one component's entry off it.  The cost is
+still combinatorial, which is why both routes refuse attack sets wider
+than their cap.
 """
 
 from __future__ import annotations
@@ -216,7 +219,7 @@ def _level_keys(
 
     ``rank`` takes sets of positions in range(c), ``singles`` holds their
     ranks, (c, G, F), and ``pending`` indexes the (c, G) keys still to
-    resolve: a (c, G) mask, or a mask or slice over the columns.  A set
+    resolve: a (c, G) mask, or ``slice(None)`` for every key.  A set
     is redundant for a member k in group g when it has the ranks of itself
     less k under each of g's functions.  Levels are ranked bottom-up until
     every pending column has a key, or until the sets ranked, with the
@@ -251,7 +254,6 @@ def circuit_keys(
     rank: Callable[[np.ndarray], np.ndarray],
     singles: np.ndarray,
     r: int,
-    wanted: np.ndarray | slice = slice(None),
 ) -> np.ndarray:
     """Smallest circuit through each column of a core of rank ``r``, per group, as a key.
 
@@ -260,10 +262,8 @@ def circuit_keys(
     array: G independent groups (realizations) of F rank functions each,
     every position in each group's core.  ``singles`` holds the positions'
     ranks, (c, G, F).  Returns (c, G) keys, 0 where a column is left
-    unresolved.  The search stops once the ``wanted`` columns (all by
-    default) are resolved, which can leave the others unresolved.
-    A circuit's key is its size << c | (2**c - 1 - revmask), where
-    ``revmask`` puts column i on bit c - 1 - i: a smaller key is a smaller
+    unresolved.  A circuit's key is its size << c | (2**c - 1 - revmask),
+    where ``revmask`` puts column i on bit c - 1 - i: a smaller key is a smaller
     circuit, and of two circuits of one size the lexicographically first,
     so the least key through a column is its index (``key >> c``) and its
     witness.  The answer comes from the cheaper of two exact routes for a
@@ -290,9 +290,9 @@ def circuit_keys(
     count, groups = singles.shape[:2]
     if not 0 < r < count:
         return np.zeros((count, groups), dtype=np.int64)
-    keys = _level_keys(rank, singles, wanted, math.comb(count, r))
+    keys = _level_keys(rank, singles, slice(None), math.comb(count, r))
     pending = keys == 0
-    if not pending[wanted].any():
+    if not pending.any():
         return keys
     sets = _lex_sets(count, r)
     level = rank(sets)
@@ -340,7 +340,6 @@ def _circuit(core: np.ndarray, key: int) -> tuple[int, ...]:
 def witness_sets(
     width: int,
     ranks: Callable[[list[int] | slice], Callable[[np.ndarray], np.ndarray]],
-    member: int | None = None,
 ) -> list[list[tuple[int, ...] | None]]:
     """Each group's witness positions for each attack-set position, None for an infinite index.
 
@@ -355,14 +354,13 @@ def witness_sets(
     its coloops; the groups are bucketed by their own core and r, with
     r = -1 where they disagree, and each bucket is ranked together, on
     sets inside its core only.  ``circuit_keys`` answers the bucket's
-    groups; one left with a wanted column unresolved, or whose functions
+    groups; one left with a core column unresolved, or whose functions
     disagree, is swept by ``_level_keys`` with no budget.  A sweep defines
     the answer of any rank, matroid or not: a column's witness is the
     lexicographically first redundant set of the first level holding one,
     and a column still pending after level c - 1 gets its group's whole
     core, in which it is redundant, being a coloop under none of its
-    group's functions.  With ``member`` given, the search stops once that
-    position is resolved, and only its entry is sure to be right.
+    group's functions.
     """
     singles, full, deletions = settle_ranks(width, ranks(slice(None)))
     infinite, single, in_core = classify_columns(singles, deletions, full)
@@ -376,11 +374,10 @@ def witness_sets(
         buckets.setdefault((in_core[:, g].tobytes(), int(core_rank[g])), []).append(g)
     for (_, r), members in buckets.items():
         core = in_core[:, members[0]].nonzero()[0]
-        wanted = slice(None) if member is None else core == member
         bucket, below = ranks(members), singles[core][:, members]
-        keys = circuit_keys(lambda sets: bucket(core[sets]), below, r, wanted)
-        if not keys[wanted].all():
-            swept = (keys[wanted] == 0).any(axis=0).nonzero()[0]
+        keys = circuit_keys(lambda sets: bucket(core[sets]), below, r)
+        if not keys.all():
+            swept = (keys == 0).any(axis=0).nonzero()[0]
             among = [members[i] for i in swept.tolist()]
             chosen, pending = ranks(among), ~infinite[core][:, among]
             swept_keys = _level_keys(lambda sets: chosen(core[sets]), below[:, swept], pending)
@@ -395,69 +392,55 @@ def witness_sets(
     return found
 
 
-def _witnesses(graph: AttackGraph, cap: int, member: int | None = None) -> list[tuple[int, ...] | None]:
-    """Each attack-set position's witness positions, None for an infinite index.
-
-    ``witness_sets`` for the one group of the linking size to the sensors
-    (G = F = 1).  Linking sizes are the ranks of a matroid, so
-    ``circuit_keys`` resolves every core column and nothing is swept.
-    With ``member`` given, only its entry is sure to be filled.
-    """
-    width = len(graph.attack_set)
-    if width > cap:
-        raise EnumerationCapError(width, cap)
-    if not width:
-        return []
-    attack_set, targets = graph.attack_set, graph.targets
-
-    def rank(sets: np.ndarray) -> np.ndarray:
-        sizes = [max_linking_size(graph, [attack_set[k] for k in s], targets) for s in sets.tolist()]
-        return np.array(sizes, dtype=np.intp).reshape(len(sizes), 1, 1)
-
-    (found,) = witness_sets(width, lambda among: rank, member)
-    return found
-
-
-def _result(graph: AttackGraph, member: int, positions: tuple[int, ...] | None) -> SecurityIndexResult:
-    attack_set = graph.attack_set
-    return SecurityIndexResult(
-        component=attack_set[member],
-        index=INFINITE if positions is None else len(positions),
-        witness=None if positions is None else tuple(attack_set[k] for k in positions),
-        subsets_examined=plain_sweep_count(len(attack_set), member, positions),
-    )
-
-
 def security_index(
     graph: AttackGraph, component: VertexId, cap: int = DEFAULT_SUBSET_CAP
 ) -> SecurityIndexResult:
-    """Index of one component, read off the same search as ``all_indices``.
+    """Index of one component: its entry in ``all_indices``.
 
-    A coloop of the gammoid gets an infinite index and no witness, and a
-    loop index 1 with the component alone as witness; a core member gets
-    its smallest circuit, from level r of the core, or from the guard's low
-    levels, which stop once they resolve it.  A dangling actuator,
-    which violates the non-degeneracy assumptions, is a loop and gets
-    index 1.  Raises ``EnumerationCapError`` when the attack set is wider
-    than ``cap``.
+    Raises ``UnknownVertexError`` when ``component`` is not attackable,
+    and ``EnumerationCapError`` when the attack set is wider than ``cap``.
     """
     attack_set = graph.attack_set
     if component not in attack_set:
         raise UnknownVertexError(f"not an attackable component: {graph.name_of(component)}")
-    member = attack_set.index(component)
-    return _result(graph, member, _witnesses(graph, cap, member)[member])
+    return all_indices(graph, cap).results[attack_set.index(component)]
 
 
 def all_indices(graph: AttackGraph, cap: int = DEFAULT_SUBSET_CAP) -> IndexReport:
     """Indices for every attackable component, in attack-set order, from one search.
 
-    The settle step settles loops and coloops; each core member's index
-    and witness is its lexicographically first smallest circuit, from
-    ``circuit_keys`` (``witness_sets``).  Raises
-    ``EnumerationCapError`` when the attack set is wider than ``cap``.
+    ``witness_sets`` for the one group of the linking size to the sensors
+    (G = F = 1).  The settle step gives a coloop of the gammoid an
+    infinite index and no witness, and a loop index 1 with the component
+    alone as witness; a dangling actuator, which violates the
+    non-degeneracy assumptions, is a loop.  Linking sizes are the ranks of
+    a matroid, so ``circuit_keys`` gives each core member its
+    lexicographically first smallest circuit, and nothing is swept.
+    Raises ``EnumerationCapError`` when the attack set is wider than
+    ``cap``.
     """
-    found = _witnesses(graph, cap)
-    return IndexReport(graph=graph, results=tuple(_result(graph, k, p) for k, p in enumerate(found)))
+    attack_set, targets = graph.attack_set, graph.targets
+    width = len(attack_set)
+    if width > cap:
+        raise EnumerationCapError(width, cap)
+
+    def rank(sets: np.ndarray) -> np.ndarray:
+        sizes = [max_linking_size(graph, [attack_set[k] for k in s], targets) for s in sets.tolist()]
+        return np.array(sizes, dtype=np.intp).reshape(len(sizes), 1, 1)
+
+    (found,) = witness_sets(width, lambda among: rank) if width else ([],)
+    return IndexReport(
+        graph=graph,
+        results=tuple(
+            SecurityIndexResult(
+                component=attack_set[k],
+                index=INFINITE if positions is None else len(positions),
+                witness=None if positions is None else tuple(attack_set[j] for j in positions),
+                subsets_examined=plain_sweep_count(width, k, positions),
+            )
+            for k, positions in enumerate(found)
+        ),
+    )
 
 
 def is_generically_left_invertible(graph: AttackGraph) -> bool:

@@ -6,19 +6,23 @@ v becomes v_in -> v_out with capacity 1, every original edge u -> w becomes
 u_out -> w_in, a super-source feeds each source's v_in and each target's
 v_out feeds a super-sink.  By Menger's theorem the max-flow value equals
 the maximum linking size.  Dinic's algorithm on unit capacities runs in
-O(E * sqrt(V)), far below the subset enumeration that sits on top of it.
+O(E * sqrt(V)); the index search asks for one size per attack subset it
+ranks.
 
 The split network is built once per graph, with a closed (capacity 0)
 super-source and super-sink edge for every vertex.  Linking sizes are
-memoized per (sources, targets), since the subset search asks for the same
-source sets many times.  A size query that misses the memo resumes from the
+memoized per (sources, targets), so a set asked again on the same graph
+costs no flow: a core's level r can repeat the settle step's singletons
+or deletions, and ``verify``'s rank check asks again for some sets
+already asked.  A size query that misses the memo resumes from the
 maximum flow the network holds from the graph's previous query: it cancels
 the unit path of each source it drops, opens the edges of the sources it
-adds, and augments from there.  The subset search moves between source
-sets that usually differ in a vertex or two, so each miss is a few
-augmenting paths from its answer.  A new target set starts over from the
-closed network, and ``find_max_linking`` always starts over from it, so a
-witness depends only on its query.  Only the graph queried last keeps its
+adds, and augments from there.  The index search asks for each level's
+source sets in lexicographic order, so consecutive sets usually differ in
+a vertex or two, and each miss is a few augmenting paths from its
+answer.  A new target set starts over from the closed network, and
+``find_max_linking`` always starts over from it, so a witness depends
+only on its query.  Only the graph queried last keeps its
 network, flow and memo, matched by identity, so memory stays bounded by one
 graph.  That slot is module state: the functions here are not thread-safe.
 

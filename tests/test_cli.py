@@ -45,6 +45,21 @@ def test_index_single_component(capsys):
     assert doc["results"][0]["index"] == 2
 
 
+@pytest.mark.parametrize(
+    "path, name",
+    [(CHAIN, "u1"), (CHAIN, "u2"), (CHAIN, "a_y1"), (COLLIDER, "u1"), (COLLIDER, "u2"), (COLLIDER, "u3")],
+)
+def test_index_component_prints_its_entry_of_the_full_report(capsys, path, name):
+    code, out, _ = run(capsys, "index", "--input", path)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    doc["results"] = [e for e in doc["results"] if e["name"] == name]
+    assert len(doc["results"]) == 1
+    code, out, _ = run(capsys, "index", "--input", path, "--component", name)
+    assert code == EXIT_OK
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
 def test_index_unknown_component(capsys):
     code, out, err = run(capsys, "index", "--input", CHAIN, "--component", "u9")
     assert code == EXIT_DATA_ERROR

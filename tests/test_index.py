@@ -259,9 +259,9 @@ def assert_ranks_within_the_cheaper_route(graph, swept, core, indices):
     """The core search stays in the core and ranks at most twice the cheaper route's sets.
 
     The bottom-up sweep would rank sizes 2 up to the largest of
-    ``indices`` (the asked core components' indices), or up to one below
-    the core's size; level r holds C(c, r) sets.  With no core component
-    asked, nothing is ranked past the settle step; a core of nullity 1
+    ``indices`` (the core components' indices), or up to one below the
+    core's size; level r holds C(c, r) sets.  With an empty core, nothing
+    is ranked past the settle step; a core of nullity 1
     (rank c - 1), which is one circuit, ranks its level r alone.
     """
     assert all(subset <= core for subset in swept)
@@ -317,15 +317,14 @@ def test_reduced_search_matches_plain_sweep_on_wide_systems(seed, q, indices):
 
 @given(st.one_of(structured_systems(), systems_with_loops_and_coloops()))
 def test_one_component_search_matches_all_indices(system):
-    # ``security_index`` runs the search of ``all_indices`` until its own
-    # component is resolved.
+    # ``security_index`` runs the search of ``all_indices``: it asks the
+    # same linking sizes, in the same order, and returns its entry.
     graph = build_attack_graph(system)
-    report = all_indices(graph)
-    core = reference_core(graph)
+    report, expected_swept = swept_sets(graph, lambda: all_indices(graph))
     for component, expected in zip(graph.attack_set, report.results):
         result, swept = swept_sets(graph, lambda: security_index(graph, component))
         assert result == expected
-        assert_ranks_within_the_cheaper_route(graph, swept, core, [result.index] if component in core else [])
+        assert swept == expected_swept
 
 
 @given(structured_systems(max_states=4, max_actuators=2, max_sensors=2))
@@ -432,7 +431,7 @@ def test_grouped_sweep_of_linking_ranks_equals_one_sweep_per_graph():
         )
 
 
-def unresolved_keys(rank, singles, r, wanted=slice(None)):
+def unresolved_keys(rank, singles, r):
     """A ``circuit_keys`` that resolves nothing, so every group is swept."""
     return np.zeros(singles.shape[:2], dtype=np.int64)
 

@@ -611,8 +611,8 @@ def test_unresolved_core_columns_take_the_sweep(monkeypatch, probe):
     expected = reference.swept_index_vectors(system, seeds, probe)
     circuits = index.circuit_keys
 
-    def first_unresolved(rank, singles, r, wanted):
-        keys = circuits(rank, singles, r, wanted)
+    def first_unresolved(rank, singles, r):
+        keys = circuits(rank, singles, r)
         keys[0, 0] = 0
         return keys
 
@@ -632,12 +632,12 @@ def test_level_r_ranks_at_most_twice_the_cheaper_route(monkeypatch, probe, syste
     ranked = []
     circuits = index.circuit_keys
 
-    def counted(rank, singles, r, wanted):
+    def counted(rank, singles, r):
         def counting(sets):
             ranked.append(len(sets))
             return rank(sets)
 
-        return circuits(counting, singles, r, wanted)
+        return circuits(counting, singles, r)
 
     monkeypatch.setattr(index, "circuit_keys", counted)
     calls = sweeps_recorded(monkeypatch)
@@ -660,7 +660,7 @@ def test_swept_realizations_rank_only_sets_inside_their_own_core(monkeypatch):
     asked = []  # (realizations, sets) of each rank call past the settle step
     engine = oracle.witness_sets
 
-    def recorded(width, ranks, member=None):
+    def recorded(width, ranks):
         def recording(among):
             rank = ranks(among)
 
@@ -671,7 +671,7 @@ def test_swept_realizations_rank_only_sets_inside_their_own_core(monkeypatch):
 
             return ranked
 
-        return engine(width, recording, member)
+        return engine(width, recording)
 
     monkeypatch.setattr(oracle, "witness_sets", recorded)
     calls = sweeps_recorded(monkeypatch)
