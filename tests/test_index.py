@@ -313,18 +313,23 @@ def test_reduced_search_matches_plain_sweep_on_wide_systems(seed, q, indices):
     graph = build_attack_graph(wide_system(seed, q=q, m=5, unprotected=4))
     assert [r.index for r in all_indices(graph).results] == indices
     assert_matches_plain_sweep(graph)
+    # Cores wide enough that a search stopping once its component is
+    # resolved would ask fewer linking sizes for some components.
+    assert_one_component_search_is_all_indices(graph)
 
 
-@given(st.one_of(structured_systems(), systems_with_loops_and_coloops()))
-def test_one_component_search_matches_all_indices(system):
-    # ``security_index`` runs the search of ``all_indices``: it asks the
-    # same linking sizes, in the same order, and returns its entry.
-    graph = build_attack_graph(system)
+def assert_one_component_search_is_all_indices(graph):
+    """``security_index`` returns its entry of ``all_indices``, asking the same linking sizes in order."""
     report, expected_swept = swept_sets(graph, lambda: all_indices(graph))
     for component, expected in zip(graph.attack_set, report.results):
         result, swept = swept_sets(graph, lambda: security_index(graph, component))
         assert result == expected
         assert swept == expected_swept
+
+
+@given(st.one_of(structured_systems(), systems_with_loops_and_coloops()))
+def test_one_component_search_matches_all_indices(system):
+    assert_one_component_search_is_all_indices(build_attack_graph(system))
 
 
 @given(structured_systems(max_states=4, max_actuators=2, max_sensors=2))
