@@ -68,6 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Structural actuator security indices for networked control systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cap_help = "max attack-set width: bounds the cost of the settle step plus level r of the core"
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--input", required=True, help="system document (JSON)")
@@ -76,12 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_index = sub.add_parser("index", help="compute security indices")
     add_common(p_index)
     p_index.add_argument("--component", help="restrict to one attackable component")
-    p_index.add_argument(
-        "--cap",
-        type=_positive_int,
-        default=DEFAULT_SUBSET_CAP,
-        help="max attack-set size accepted for subset enumeration",
-    )
+    p_index.add_argument("--cap", type=_positive_int, default=DEFAULT_SUBSET_CAP, help=cap_help)
 
     p_linking = sub.add_parser("linking", help="maximum linking between vertex sets")
     add_common(p_linking)
@@ -102,12 +98,16 @@ def _build_parser() -> argparse.ArgumentParser:
         default=50,
         help="realizations for the index agreement check",
     )
-    p_verify.add_argument("--seed", type=_nonnegative_int, default=0)
-    p_verify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE)
+    p_verify.add_argument(
+        "--seed", type=_nonnegative_int, default=0, help="seeds the frequencies and realizations"
+    )
+    p_verify.add_argument(
+        "--tol", type=_tolerance, default=DEFAULT_TOLERANCE, help="relative singular-value rank cut"
+    )
     p_verify.add_argument(
         "--freqs", type=_positive_int, default=3, help="probe frequencies per rank test"
     )
-    p_verify.add_argument("--cap", type=_positive_int, default=DEFAULT_SUBSET_CAP)
+    p_verify.add_argument("--cap", type=_positive_int, default=DEFAULT_SUBSET_CAP, help=cap_help)
 
     p_export = sub.add_parser("export-dot", help="render the attack graph as DOT")
     add_common(p_export)

@@ -61,7 +61,11 @@ INFINITE = math.inf
 
 
 class EnumerationCapError(RuntimeError):
-    """The attack set is too large for exhaustive subset enumeration."""
+    """The attack set is wider than the cap on the search's cost.
+
+    The cap bounds the settle step's 2w + 1 ranks and level r of the core,
+    the C(c, r) sets of r of its c columns, which grows combinatorially.
+    """
 
     def __init__(self, width: int, cap: int):
         super().__init__(
@@ -177,36 +181,52 @@ def _lex_sets(count: int, size: int) -> np.ndarray:
     ).reshape(-1, size)
 
 
+def _set_keys(count: int, sets: np.ndarray) -> np.ndarray:
+    """The key of each row of ``sets``, equal-size sorted sets of positions in range(count).
+
+    A set's key is its size << count | (2**count - 1 - revmask), where
+    ``revmask`` puts position i on bit count - 1 - i.  A smaller key is a
+    smaller set, and of two sets of one size the lexicographically first:
+    at the first position where two sorted sets differ, only the first holds
+    its member, whose bit outweighs every later one.  So the keys of a
+    ``_lex_sets`` level ascend in row order, and ``np.searchsorted`` on them
+    finds a set's row from its key; the least key of a circuit through a
+    column is its index (``key >> count``) and its witness.
+    """
+    revbit = 1 << (count - 1 - np.arange(count, dtype=np.int64))
+    return sets.shape[1] << count | (1 << count) - 1 - revbit[sets].sum(axis=1)
+
+
 def _next_level(
     rank: Callable[[np.ndarray], np.ndarray],
     count: int,
     size: int,
     below: np.ndarray,
-    row: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    below_keys: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Rank level ``size`` of ``count`` columns and compare it with the level below.
 
     ``rank`` takes sets of positions in range(count), ``below`` holds the
-    (N', G, F) ranks of level ``size`` - 1 and ``row`` its rows by bit
-    mask, which are then overwritten with this level's.  Returns the
-    level's sets, (N, size), its ranks, (N, G, F), and ``redundant``,
-    (N, size, G): under group g, set n has the ranks of set n without its
-    j-th member.  The comparison runs in chunks of ``COMPARE_CHUNK`` sets
-    times functions.
+    (N', G, F) ranks of level ``size`` - 1 and ``below_keys`` its sets'
+    ``_set_keys``, (N',), ascending.  Set n less its j-th member p has key
+    ``keys[n] - (1 << count) + revbit[p]``, found among ``below_keys`` by
+    ``np.searchsorted``.  Returns the level's sets, (N, size), their keys,
+    (N,), their ranks, (N, G, F), and ``redundant``, (N, size, G): under
+    group g, set n has the ranks of set n without its j-th member.  The
+    comparison runs in chunks of ``COMPARE_CHUNK`` sets times functions.
     """
     sets = _lex_sets(count, size)
-    bits = 1 << sets
-    masks = bits.sum(axis=1)
+    keys = _set_keys(count, sets)
+    revbit = 1 << (count - 1 - np.arange(count, dtype=np.int64))
     level = rank(sets)
     groups = level.shape[1]
     step = max(1, COMPARE_CHUNK // below[0].size)  # below[0] is (G, F)
     redundant = np.empty((len(sets), size, groups), dtype=bool)
     for start in range(0, len(sets), step):
         part = slice(start, start + step)
-        lower = below[row[masks[part, None] - bits[part]]]
+        lower = below[np.searchsorted(below_keys, keys[part, None] - (1 << count) + revbit[sets[part]])]
         redundant[part] = (lower == level[part, None]).all(axis=3)
-    row[masks] = np.arange(len(masks))
-    return sets, level, redundant
+    return sets, keys, level, redundant
 
 
 def _level_keys(
@@ -224,28 +244,25 @@ def _level_keys(
     less k under each of g's functions.  Levels are ranked bottom-up until
     every pending column has a key, or until the sets ranked, with the
     next level, would reach ``budget``; the last level ranked is at most
-    c - 1.  Keys are ``circuit_keys``', and each column keeps its least
-    one: keys grow with the level, and within a level the least key is the
+    c - 1.  Keys are ``_set_keys``: the singles' keys start the chain, and
+    each level's keys, which ``_next_level`` returns, find its sets' rows
+    when the next level is compared with it.  Each column keeps its least
+    key: keys grow with the level, and within a level the least key is the
     lexicographically first set.  Returns (c, G) keys, 0 where no redundant
     set was found.
     """
     count, groups = singles.shape[:2]
     if count < 3 or math.comb(count, 2) >= budget:  # no level to rank
         return np.zeros((count, groups), dtype=np.int64)
-    low = (1 << count) - 1
-    revbit = 1 << (count - 1 - np.arange(count, dtype=np.int64))
     none = (count + 1) << count  # above every set's key
     best = np.full((count, groups), none)
-    row = np.empty(1 << count, dtype=np.intp)  # a set's row in its level, by bit mask
-    row[1 << np.arange(count)] = np.arange(count)
-    below, ranked = singles, 0
+    below, set_keys, ranked = singles, _set_keys(count, _lex_sets(count, 1)), 0
     for size in range(2, count):
         ranked += math.comb(count, size)
         if ranked >= budget or (best[pending] < none).all():
             break
-        sets, below, redundant = _next_level(rank, count, size, below, row)
+        sets, set_keys, below, redundant = _next_level(rank, count, size, below, set_keys)
         rows, places, owners = redundant.nonzero()
-        set_keys = size << count | low - revbit[sets].sum(axis=1)
         np.minimum.at(best, (sets[rows, places], owners), set_keys[rows])
     return np.where(best < none, best, 0)
 
@@ -262,30 +279,29 @@ def circuit_keys(
     array: G independent groups (realizations) of F rank functions each,
     every position in each group's core.  ``singles`` holds the positions'
     ranks, (c, G, F).  Returns (c, G) keys, 0 where a column is left
-    unresolved.  A circuit's key is its size << c | (2**c - 1 - revmask),
-    where ``revmask`` puts column i on bit c - 1 - i: a smaller key is a smaller
-    circuit, and of two circuits of one size the lexicographically first,
-    so the least key through a column is its index (``key >> c``) and its
-    witness.  The answer comes from the cheaper of two exact routes for a
-    matroid with no loop or coloop.  The guard is the bottom-up loop
-    (``_level_keys``), with a budget: it ranks levels 2, 3, ... and keeps
-    each column's least key over the redundant sets through it, the first
-    such set of the first level holding one.  Level r gives every circuit:
-    for a basis B (an r-set of rank r) and e outside it, B + e holds one
-    circuit, the fundamental circuit
-    C(e, B) = {e} + {j in B : B - j + e is a basis}, and every circuit is
-    one of these (Oxley, *Matroid Theory*, ch. 1).  The guard runs while
-    the sets it has ranked, with the next level, stay fewer than the
-    C(c, r) sets of level r; the columns still pending then take their
-    least key over the fundamental circuits of level r.  So the sets
-    ranked are at most twice those of the cheaper route; at a tie level r
-    is ranked, since it settles every column.  At nullity 1 (r = c - 1)
-    the guard ranks nothing, and when every level-r set is a basis under
-    every function, each C(e, B) is the whole core, whose key every
-    pending column takes.  A group whose F functions disagree on some
-    level-r set, or a pending column on no fundamental circuit, is left
-    unresolved: its ranks are not those of one matroid, and only a full
-    sweep defines its answer.
+    unresolved: each column's least ``_set_keys`` key over the circuits
+    through it, which gives its index and witness.  The answer comes from
+    the cheaper of two exact routes for a matroid with no loop or coloop.
+    The guard is the bottom-up loop (``_level_keys``), with a budget: it
+    ranks levels 2, 3, ... and keeps each column's least key over the
+    redundant sets through it, the first such set of the first level
+    holding one.  Level r gives every circuit: for a basis B (an r-set of
+    rank r) and e outside it, B + e holds one circuit, the fundamental
+    circuit C(e, B) = {e} + {j in B : B - j + e is a basis}, and every
+    circuit is one of these (Oxley, *Matroid Theory*, ch. 1).  The set
+    B - j + e has key key(B) + revbit[j] - revbit[e], with revbit[i] the
+    bit of position i, and ``np.searchsorted`` finds it among level r's
+    keys.  The guard runs while the sets it has ranked, with the next
+    level, stay fewer than the C(c, r) sets of level r; the columns still
+    pending then take their least key over the fundamental circuits of
+    level r.  So the sets ranked are at most twice those of the cheaper
+    route; at a tie level r is ranked, since it settles every column.  At
+    nullity 1 (r = c - 1) the guard ranks nothing, and when every level-r
+    set is a basis under every function, each C(e, B) is the whole core,
+    whose key every pending column takes.  A group whose F functions
+    disagree on some level-r set, or a pending column on no fundamental
+    circuit, is left unresolved: its ranks are not those of one matroid,
+    and only a full sweep defines its answer.
     """
     count, groups = singles.shape[:2]
     if not 0 < r < count:
@@ -305,18 +321,17 @@ def circuit_keys(
     best = np.full((count, groups), none)
     agree = (level == level[..., :1]).all(axis=(0, 2))
     basis = level[..., 0] == r  # (N, G)
-    masks = (1 << sets).sum(axis=1)
-    row = np.empty(1 << count, dtype=np.intp)  # a level-r set's row, by bit mask
-    row[masks] = np.arange(len(sets))
-    inside = (masks[:, None] >> np.arange(count) & 1).astype(bool)  # (N, c)
+    set_keys = _set_keys(count, sets)
+    inside = np.zeros((len(sets), count), dtype=bool)
+    np.put_along_axis(inside, sets, True, axis=1)
     outside = (~inside).nonzero()[1].reshape(len(sets), count - r)
     step = max(1, COMPARE_CHUNK // ((count - r) * groups))
     for start in range(0, len(sets), step):
         part = slice(start, start + step)
         # [n, j, e, g]: under group g, B (set n) is a basis and so is B
         # less its j-th member plus its e-th outside column.
-        swapped = masks[part, None, None] - (1 << sets[part, :, None]) + (1 << outside[part, None, :])
-        exchange = basis[row[swapped]] & basis[part, None, None, :]
+        swapped = set_keys[part, None, None] + revbit[sets[part], None] - revbit[outside[part]][:, None]
+        exchange = basis[np.searchsorted(set_keys, swapped)] & basis[part, None, None, :]
         # (n, e, g): the key of C(e, B); none when B is no basis or e a loop.
         size = 1 + exchange.sum(axis=1)
         revmask = revbit[outside[part], None] + (exchange * revbit[sets[part], None, None]).sum(axis=1)
