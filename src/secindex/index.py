@@ -346,7 +346,7 @@ def circuit_keys(
 
 
 def _circuit(core: np.ndarray, key: int) -> tuple[int, ...]:
-    """The attack-set positions of the circuit of ``circuit_keys`` key ``key`` in ``core``."""
+    """The attack-set positions of the circuit whose ``_set_keys`` key is ``key``, in ``core``."""
     count = len(core)
     revmask = ~key & (1 << count) - 1
     return tuple(k for i, k in enumerate(core.tolist()) if revmask >> (count - 1 - i) & 1)

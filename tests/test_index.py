@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -13,6 +14,9 @@ from hypothesis import strategies as st
 from secindex.index import (
     INFINITE,
     EnumerationCapError,
+    _level_keys,
+    _lex_sets,
+    _set_keys,
     all_indices,
     circuit_keys,
     is_generically_left_invertible,
@@ -630,6 +634,58 @@ def test_nullity_one_matroid_ranks_only_level_r(width):
     keys = circuit_keys(counting, singles, width - 1)
     assert keys.tolist() == [[width << width]] * width
     assert sorted(ranked) == sorted(itertools.combinations(range(width), width - 1))
+
+
+@pytest.mark.parametrize("count", range(1, 8))
+def test_set_keys_find_each_set_row_by_searchsorted(count):
+    # Within a level, the keys of the lexicographically ordered sets
+    # strictly increase, so ``np.searchsorted`` on them finds the row of the
+    # set less one member (in the level below) and of B - j + e.
+    revbit = [1 << (count - 1 - i) for i in range(count)]
+    below = None
+    for size in range(1, count + 1):
+        sets = _lex_sets(count, size)
+        keys = _set_keys(count, sets)
+        assert (np.diff(keys) > 0).all()
+        rows = {tuple(s): n for n, s in enumerate(sets.tolist())}
+        for n, s in enumerate(sets.tolist()):
+            if below is not None:
+                below_keys, below_rows = below
+                for p in s:
+                    less = tuple(k for k in s if k != p)
+                    found = np.searchsorted(below_keys, keys[n] - (1 << count) + revbit[p])
+                    assert found == below_rows[less]
+            for j in s:
+                for e in sorted(set(range(count)) - set(s)):
+                    swapped = tuple(sorted(set(s) - {j} | {e}))
+                    assert np.searchsorted(keys, keys[n] + revbit[j] - revbit[e]) == rows[swapped]
+        below = keys, rows
+
+
+@pytest.mark.parametrize("search", ["circuit_keys", "_level_keys"])
+def test_level_search_allocates_nothing_sized_by_two_to_the_core(search):
+    # U(1, 24), rank 1 on every nonempty set: every pair is a circuit, so
+    # every index is 2, with witness {0, 1} for column 0 and {0, k} for
+    # column k.  A table with one entry per subset of the 24 columns would
+    # take 8 * 2**24 bytes, 128 MiB.
+    count = 24
+
+    def rank(sets):
+        return np.ones((len(sets), 1, 1), dtype=np.intp)
+
+    singles = rank(np.arange(count)[:, None])
+    tracemalloc.start()
+    try:
+        if search == "circuit_keys":
+            keys = circuit_keys(rank, singles, 1)
+        else:
+            keys = _level_keys(rank, singles, slice(None))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    witnesses = [(0, 1)] + [(0, k) for k in range(1, count)]
+    assert keys.tolist() == [_set_keys(count, np.array([w])).tolist() for w in witnesses]
 
 
 def test_parallel_pairs_never_rank_level_r():
