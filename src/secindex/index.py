@@ -256,7 +256,7 @@ def _level_keys(
         return np.zeros((count, groups), dtype=np.int64)
     none = (count + 1) << count  # above every set's key
     best = np.full((count, groups), none)
-    below, set_keys, ranked = singles, _set_keys(count, _lex_sets(count, 1)), 0
+    below, set_keys, ranked = singles, _set_keys(count, np.arange(count)[:, None]), 0
     for size in range(2, count):
         ranked += math.comb(count, size)
         if ranked >= budget or (best[pending] < none).all():
@@ -322,8 +322,7 @@ def circuit_keys(
     agree = (level == level[..., :1]).all(axis=(0, 2))
     basis = level[..., 0] == r  # (N, G)
     set_keys = _set_keys(count, sets)
-    inside = np.zeros((len(sets), count), dtype=bool)
-    np.put_along_axis(inside, sets, True, axis=1)
+    inside = (set_keys[:, None] & revbit) == 0  # (N, c): a key clears revbit[i] for each member i
     outside = (~inside).nonzero()[1].reshape(len(sets), count - r)
     step = max(1, COMPARE_CHUNK // ((count - r) * groups))
     for start in range(0, len(sets), step):
