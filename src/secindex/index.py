@@ -209,11 +209,12 @@ def _next_level(
     ``rank`` takes sets of positions in range(count), ``below`` holds the
     (N', G, F) ranks of level ``size`` - 1 and ``below_keys`` its sets'
     ``_set_keys``, (N',), ascending.  Set n less its j-th member p has key
-    ``keys[n] - (1 << count) + revbit[p]``, found among ``below_keys`` by
-    ``np.searchsorted``.  Returns the level's sets, (N, size), their keys,
-    (N,), their ranks, (N, G, F), and ``redundant``, (N, size, G): under
-    group g, set n has the ranks of set n without its j-th member.  The
-    comparison runs in chunks of ``COMPARE_CHUNK`` sets times functions.
+    ``keys[n] - (1 << count) + revbit[p]``, where ``revbit[p]`` is p's bit
+    count - 1 - p, found among ``below_keys`` by ``np.searchsorted``.
+    Returns the level's sets, (N, size), their keys, (N,), their ranks,
+    (N, G, F), and ``redundant``, (N, size, G): under group g, set n has
+    the ranks of set n without its j-th member.  The comparison runs in
+    chunks of ``COMPARE_CHUNK`` sets times functions.
     """
     sets = _lex_sets(count, size)
     keys = _set_keys(count, sets)
